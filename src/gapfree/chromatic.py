@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from .colorings import EdgeColoring
 from .errors import NotBipartite, NotRegular
 from .graph import Graph, bfs_edge_order, degree_profile, is_bipartite
 from .limits import DEFAULT_BUDGET, Budget
+from .search import first_coloring
 
 _INF = float("inf")
 
@@ -46,20 +48,35 @@ def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]
                     queue.append(z)
         return reachable_free
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            z = match_r.get(w)
-            if z is None or (dist[z] == dist[u] + 1 and dfs(z)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = _INF
-        return False
+    def augment(root: int) -> None:
+        # depth-first along the BFS layers, in the order a recursive search
+        # would take; stack[i + 1] is the partner of taken[i], tried from stack[i]
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for w in nbrs:
+                z = match_r.get(w)
+                if z is None or dist[z] == dist[u] + 1:
+                    break
+            else:
+                dist[u] = _INF
+                stack.pop()
+                del taken[-1:]
+                continue
+            taken.append(w)
+            if z is None:
+                # flip the augmenting path, deepest vertex first
+                for (u, _), w in zip(reversed(stack), reversed(taken)):
+                    match_l[u] = w
+                    match_r[w] = u
+                return
+            stack.append((z, iter(adj[z])))
 
     while bfs():
         for u in left:
             if u not in match_l:
-                dfs(u)
+                augment(u)
     return match_l
 
 
@@ -99,52 +116,21 @@ class ChromaticIndexResult:
     class1: bool
 
 
-def _search_proper(g: Graph, k: int, budget: Budget) -> list[int] | None:
+def _search_proper(g: Graph, k: int, budget: Budget) -> Optional[tuple[int, ...]]:
     """First proper edge k-coloring in lexicographic order, or None.
 
-    Edges are tried in descending degree-sum order (BFS rank breaking ties),
-    new colors only in first-use order, and each color class is capped at the
-    trivial matching bound floor(n/2).
+    Edges are tried in descending degree-sum order, BFS rank breaking ties.
     """
-    m = g.m
-    if m == 0:
-        return []
-    cap = g.n // 2
-    if k * cap < m:
-        return None
+    if g.m == 0:
+        return ()
+    if k * (g.n // 2) < g.m:
+        return None  # a color class is a matching of at most n//2 edges
     rank = {e: i for i, e in enumerate(bfs_edge_order(g))}
     order = sorted(
-        range(m),
+        range(g.m),
         key=lambda e: (-(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]]), rank[e]),
     )
-    used = [0] * g.n
-    count = [0] * (k + 2)
-    out = [0] * m
-
-    def rec(pos: int, introduced: int) -> bool:
-        budget.spend()
-        if pos == m:
-            return True
-        e = order[pos]
-        u, v = g.edges[e]
-        mask = used[u] | used[v]
-        limit = min(k, introduced + 1)
-        for c in range(1, limit + 1):
-            bit = 1 << c
-            if mask & bit or count[c] == cap:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            count[c] += 1
-            out[e] = c
-            if rec(pos + 1, max(introduced, c)):
-                return True
-            used[u] ^= bit
-            used[v] ^= bit
-            count[c] -= 1
-        return False
-
-    return out if rec(0, 0) else None
+    return first_coloring(g, order, k, budget, interval=False)
 
 
 def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIndexResult:
@@ -159,11 +145,11 @@ def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIn
     tracker = Budget(budget)
     found = _search_proper(g, delta, tracker)
     if found is not None:
-        return ChromaticIndexResult(delta, EdgeColoring(tuple(found)), True)
+        return ChromaticIndexResult(delta, EdgeColoring(found), True)
     found = _search_proper(g, delta + 1, tracker)
     if found is None:
         raise AssertionError("no (max degree + 1)-edge-coloring found; simple graphs always have one")
-    return ChromaticIndexResult(delta + 1, EdgeColoring(tuple(found)), False)
+    return ChromaticIndexResult(delta + 1, EdgeColoring(found), False)
 
 
 def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:

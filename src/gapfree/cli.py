@@ -77,11 +77,25 @@ def _parse_params(text: str | None) -> dict[str, int]:
     return out
 
 
+def _node_count(text: str) -> int:
+    """Parse a search budget: a non-negative number of nodes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("INTERVAL_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return _node_count(env) if env else DEFAULT_BUDGET
+    except argparse.ArgumentTypeError as exc:
+        raise BadParameter(f"INTERVAL_BUDGET: {exc}") from None
 
 
 def _get_alpha(g, path, budget):
@@ -365,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="copy count for t16w/t16W")
     p.add_argument("--out", required=True)
     p.add_argument("--product-out", dest="product_out")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_node_count)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph file")
@@ -376,7 +390,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive membership / least / greatest search")
     p.add_argument("graph")
     p.add_argument("--t", type=int, help="probe a single color count")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_node_count)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
@@ -403,7 +417,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chi-prime", help="exact chromatic index of a small graph")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_node_count)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_chi_prime)

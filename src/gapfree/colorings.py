@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadParameter
-from .graph import Graph
+from .graph import Graph, data_lines
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,7 @@ def write_coloring(path, g: Graph, coloring: EdgeColoring, t: Optional[int] = No
 
 def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
     """Parse a coloring file into (declared t, edge endpoints by id, colors by id)."""
-    rows: list[str] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line)
+    rows = data_lines(path)
     if not rows or not rows[0].startswith("t="):
         raise BadParameter(f"{path}: missing t=<K> header")
     try:

@@ -168,15 +168,21 @@ def write_edge_list(path, g: Graph) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def data_lines(path) -> list[str]:
+    """The stripped lines of an ASCII text file, without blank and '#' comment
+    lines; a byte outside ASCII raises BadParameter like any malformed line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise BadParameter(
+            f"{path}: non-ASCII byte {exc.object[exc.start]:#04x}"
+        ) from None
+
+
 def read_edge_list(path) -> Graph:
     """Read the text edge-list format; '#' comment lines are ignored."""
-    rows: list[str] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line)
+    rows = data_lines(path)
     if not rows:
         raise BadParameter(f"{path}: empty edge-list file")
     head = rows[0].split()

@@ -1,12 +1,10 @@
 """Exhaustive ground truth for small graphs: interval-colorability, the least
 and greatest feasible color counts, and witness colorings.
 
-The search walks edges in BFS order assigning colors 1..t ascending, pruning a
-branch as soon as some endpoint's partial spectrum can no longer extend to a
-degree-length interval inside [1, t], or too few edges remain to cover the
-still-unused colors. Colorings are probed for every t from the max degree up
-to a proven ceiling, so "no result" means "no such coloring exists", not
-"gave up" -- giving up is a distinct budget-exceeded state.
+The search (gapfree.search) colors edges in BFS order. Colorings are probed
+for every t from the max degree up to a proven ceiling, so "no result" means
+"no such coloring exists", not "gave up" -- giving up is a distinct
+budget-exceeded state.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from .colorings import EdgeColoring
 from .errors import BudgetExceeded
 from .graph import Graph, bfs_edge_order
 from .limits import DEFAULT_BUDGET, Budget
+from .search import first_coloring
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -36,68 +35,11 @@ class OracleResult:
 
 
 def _interval_search(g: Graph, t: int, budget: Budget) -> Optional[EdgeColoring]:
-    m = g.m
-    if t < 1 or t < g.max_degree or t > m:
+    if t < 1 or t < g.max_degree or t > g.m:
         # properness needs t >= max degree; using every color needs t <= |E|
         return None
-    order = bfs_edge_order(g)
-    deg = g.degrees
-    edges = g.edges
-    used = [0] * g.n  # bitmask of colors at each vertex
-    lo = [0] * g.n  # 0 means no incident edge colored yet
-    hi = [0] * g.n
-    count = [0] * (t + 1)
-    out = [0] * m
-    state = {"unused": t}
-
-    def rec(pos: int) -> bool:
-        budget.spend()
-        if pos == m:
-            return state["unused"] == 0
-        e = order[pos]
-        u, v = edges[e]
-        mask = used[u] | used[v]
-        lo_b, hi_b = 1, t
-        for w in (u, v):
-            if lo[w]:
-                if hi[w] - deg[w] + 1 > lo_b:
-                    lo_b = hi[w] - deg[w] + 1
-                if lo[w] + deg[w] - 1 < hi_b:
-                    hi_b = lo[w] + deg[w] - 1
-        remaining = m - pos - 1
-        for c in range(lo_b, hi_b + 1):
-            if mask & (1 << c):
-                continue
-            first_use = count[c] == 0
-            if state["unused"] - (1 if first_use else 0) > remaining:
-                continue
-            save = (lo[u], hi[u], lo[v], hi[v])
-            bit = 1 << c
-            used[u] |= bit
-            used[v] |= bit
-            count[c] += 1
-            if first_use:
-                state["unused"] -= 1
-            for w in (u, v):
-                if lo[w] == 0:
-                    lo[w] = hi[w] = c
-                else:
-                    if c < lo[w]:
-                        lo[w] = c
-                    if c > hi[w]:
-                        hi[w] = c
-            out[e] = c
-            if rec(pos + 1):
-                return True
-            used[u] ^= bit
-            used[v] ^= bit
-            count[c] -= 1
-            if first_use:
-                state["unused"] += 1
-            lo[u], hi[u], lo[v], hi[v] = save
-        return False
-
-    return EdgeColoring(tuple(out)) if rec(0) else None
+    found = first_coloring(g, bfs_edge_order(g), t, budget, interval=True)
+    return EdgeColoring(found) if found is not None else None
 
 
 def find_interval_coloring(
@@ -194,50 +136,3 @@ def cross_validate(coloring: EdgeColoring, bracket: OracleResult) -> CrossCheckR
     if bracket.status != COMPLETE:
         notes.append("oracle bracket is partial (budget exceeded)")
     return CrossCheckReport(consistent, t, bracket.w, bracket.W, bracket.status, tuple(notes))
-
-
-def _naive_exists(g: Graph, t: int) -> bool:
-    """Generate-and-filter: enumerate proper colorings (edge id order, colors
-    descending), keep one iff it is an interval t-coloring."""
-    at_vertex: list[set[int]] = [set() for _ in range(g.n)]
-    colors = [0] * g.m
-
-    def leaf_ok() -> bool:
-        if set(colors) != set(range(1, t + 1)):
-            return False
-        for v in range(g.n):
-            spect = sorted(at_vertex[v])
-            if spect and spect[-1] - spect[0] + 1 != len(spect):
-                return False
-        return True
-
-    def rec(e: int) -> bool:
-        if e == g.m:
-            return leaf_ok()
-        u, v = g.edges[e]
-        for c in range(t, 0, -1):
-            if c in at_vertex[u] or c in at_vertex[v]:
-                continue
-            at_vertex[u].add(c)
-            at_vertex[v].add(c)
-            colors[e] = c
-            if rec(e + 1):
-                return True
-            at_vertex[u].remove(c)
-            at_vertex[v].remove(c)
-        return False
-
-    return rec(0)
-
-
-def naive_oracle(g: Graph) -> tuple[bool, Optional[int], Optional[int]]:
-    """Slow reference verdict (member, least t, greatest t) for tiny graphs.
-
-    Independent of the pruned search: different edge order, different color
-    order, and only the trivial ceiling t <= |E|. Intended for cross-checking
-    in tests; cost grows violently past a dozen edges.
-    """
-    feasible = [t for t in range(1, g.m + 1) if _naive_exists(g, t)]
-    if feasible:
-        return True, feasible[0], feasible[-1]
-    return False, None, None

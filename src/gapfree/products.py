@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BadParameter, EmptyFactor, OutOfRange
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, data_lines
 
 
 class ProductKind(Enum):
@@ -117,22 +117,18 @@ def write_provenance(path, prod: ProductGraph) -> None:
 
 def read_provenance(path) -> list[tuple[int, EdgeOrigin, int, int, int, int]]:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise BadParameter(f"{path}: malformed provenance line {line!r}")
-            rows.append(
-                (
-                    int(parts[0]),
-                    EdgeOrigin(parts[1]),
-                    int(parts[2]),
-                    int(parts[3]),
-                    int(parts[4]),
-                    int(parts[5]),
-                )
+    for line in data_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise BadParameter(f"{path}: malformed provenance line {line!r}")
+        rows.append(
+            (
+                int(parts[0]),
+                EdgeOrigin(parts[1]),
+                int(parts[2]),
+                int(parts[3]),
+                int(parts[4]),
+                int(parts[5]),
             )
+        )
     return rows

@@ -1,0 +1,106 @@
+"""The exhaustive edge-coloring search behind the oracle and the chromatic index."""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+from .graph import Graph
+from .limits import Budget
+
+
+def first_coloring(
+    g: Graph, order: Sequence[int], k: int, budget: Budget, interval: bool
+) -> Optional[tuple[int, ...]]:
+    """Colors by edge id of the first coloring with colors 1..k, or None if
+    none exists.
+
+    Depth-first backtracking with an explicit stack, so the depth is limited
+    by memory, not by the recursion limit. Edges are colored in `order`
+    (non-empty), each trying its candidate colors in ascending order. With
+    `interval` the coloring must be an interval k-coloring: a branch is cut
+    when an endpoint's colors can no longer extend to a degree-length interval
+    inside [1, k], or when too few edges remain to use every color not used
+    yet. Otherwise it must be proper, with new colors in first-use order and
+    at most n//2 edges (a matching) per color.
+
+    Color c is bit c-1 of the masks kept per vertex (its colors) and per depth
+    (colors used above it, candidates left). Each node visited, the final leaf
+    included, costs one budget tick; ticks are settled into `budget` on return
+    or once they pass its limit, when Budget.spend raises BudgetExceeded.
+    """
+    m = len(order)
+    ends = [g.edges[e] for e in order]
+    deg = g.degrees
+    used = [0] * g.n
+    palette = [0] * (m + 1)
+    cands = [0] * m
+    chosen = [0] * m
+    cap = g.n // 2
+    count = [0] * (k + 1)  # class sizes, proper search only
+    full = 0  # classes holding cap edges, proper search only
+    left = budget.limit - budget.used
+    nodes = pos = 0
+    while True:
+        nodes += 1
+        if nodes > left or pos == m:
+            budget.spend(nodes)
+            # at a leaf the palette rule has left no color unused
+            return tuple(c.bit_length() for _, c in sorted(zip(order, chosen)))
+        u, v = ends[pos]
+        x = used[u]
+        y = used[v]
+        pal = palette[pos]
+        if interval:
+            lo = 1
+            hi = k
+            if x:
+                b = x.bit_length() - deg[u] + 1
+                if b > lo:
+                    lo = b
+                b = (x & -x).bit_length() + deg[u] - 1
+                if b < hi:
+                    hi = b
+            if y:
+                b = y.bit_length() - deg[v] + 1
+                if b > lo:
+                    lo = b
+                b = (y & -y).bit_length() + deg[v] - 1
+                if b < hi:
+                    hi = b
+            cand = ((1 << hi) - (1 << (lo - 1))) & ~(x | y) if lo <= hi else 0
+            unused = k - pal.bit_count()
+            if unused > m - pos - 1:
+                # only a color not used yet keeps the palette coverable
+                cand = cand & ~pal if unused == m - pos else 0
+        else:
+            limit = pal.bit_length() + 1
+            if limit > k:
+                limit = k
+            cand = ((1 << limit) - 1) & ~(x | y | full)
+        while not cand:
+            pos -= 1
+            if pos < 0:
+                budget.spend(nodes)
+                return None
+            u, v = ends[pos]
+            bit = chosen[pos]
+            used[u] ^= bit
+            used[v] ^= bit
+            if not interval:
+                c = bit.bit_length()
+                if count[c] == cap:
+                    full ^= bit
+                count[c] -= 1
+            cand = cands[pos]
+        bit = cand & -cand
+        cands[pos] = cand ^ bit
+        chosen[pos] = bit
+        used[u] |= bit
+        used[v] |= bit
+        if not interval:
+            c = bit.bit_length()
+            count[c] += 1
+            if count[c] == cap:
+                full |= bit
+        pos += 1
+        palette[pos] = palette[pos - 1] | bit

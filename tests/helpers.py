@@ -4,6 +4,7 @@ frozen factor colorings."""
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import gapfree as gf
 
@@ -140,3 +141,50 @@ def collect_matrix() -> list[dict]:
                     )
                 )
     return entries
+
+
+def _naive_exists(g: gf.Graph, t: int) -> bool:
+    """Generate-and-filter: enumerate proper colorings (edge id order, colors
+    descending), keep one iff it is an interval t-coloring."""
+    at_vertex: list[set[int]] = [set() for _ in range(g.n)]
+    colors = [0] * g.m
+
+    def leaf_ok() -> bool:
+        if set(colors) != set(range(1, t + 1)):
+            return False
+        for v in range(g.n):
+            spect = sorted(at_vertex[v])
+            if spect and spect[-1] - spect[0] + 1 != len(spect):
+                return False
+        return True
+
+    def rec(e: int) -> bool:
+        if e == g.m:
+            return leaf_ok()
+        u, v = g.edges[e]
+        for c in range(t, 0, -1):
+            if c in at_vertex[u] or c in at_vertex[v]:
+                continue
+            at_vertex[u].add(c)
+            at_vertex[v].add(c)
+            colors[e] = c
+            if rec(e + 1):
+                return True
+            at_vertex[u].remove(c)
+            at_vertex[v].remove(c)
+        return False
+
+    return rec(0)
+
+
+def naive_oracle(g: gf.Graph) -> tuple[bool, Optional[int], Optional[int]]:
+    """Slow reference verdict (member, least t, greatest t) for tiny graphs.
+
+    Independent of the pruned search: different edge order, different color
+    order, and only the trivial ceiling t <= |E|. Intended for cross-checking
+    in tests; cost grows violently past a dozen edges.
+    """
+    feasible = [t for t in range(1, g.m + 1) if _naive_exists(g, t)]
+    if feasible:
+        return True, feasible[0], feasible[-1]
+    return False, None, None

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import gapfree as gf
+from gapfree.cli import run
 from gapfree.errors import BudgetExceeded, NotBipartite, NotRegular
 
 from helpers import SEED, named
@@ -193,3 +194,38 @@ def test_membership_agrees_with_oracle_on_small_regular_graphs():
               named("K", 2), named("Q", 3), named("torus", 2, 3),
               named("torus", 3, 3)]:
         assert gf.regular_membership(g) == gf.oracle(g).member
+
+
+def test_clique_witness_pins():
+    # recorded from the recursive search this engine replaced
+    k6 = gf.exact_chromatic_index(named("K", 6))
+    assert (k6.chi_prime, k6.class1) == (5, True)
+    assert k6.witness.colors == (1, 2, 3, 4, 5, 3, 4, 5, 2, 5, 1, 4, 2, 1, 3)
+    k7 = gf.exact_chromatic_index(named("K", 7))
+    assert (k7.chi_prime, k7.class1) == (7, False)
+    assert k7.witness.colors == (
+        1, 2, 3, 4, 5, 6, 3, 2, 5, 4, 7, 1, 6, 7, 4, 7, 6, 5, 1, 2, 3,
+    )
+
+
+def test_budget_is_exact():
+    # Petersen is class 2: the search at 3 colors fails after 59 nodes and
+    # the one at 4 colors succeeds after 18 more, on the same budget
+    petersen = named("petersen")
+    for limit in (0, 1, 58, 59, 60, 76):
+        with pytest.raises(BudgetExceeded) as exc:
+            gf.exact_chromatic_index(petersen, budget=limit)
+        assert exc.value.nodes == limit + 1
+    assert gf.exact_chromatic_index(petersen, budget=77).chi_prime == 4
+
+
+def test_cli_long_path(tmp_path, capsys):
+    graph = tmp_path / "p1500.g"
+    out = tmp_path / "p1500.col"
+    assert run(["gen", "--family", "P", "--n", "1500", "--out", str(graph)]) == 0
+    assert run(["chi-prime", str(graph), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("chi_prime=2 class1=True max_degree=2\n")
+    g = gf.read_edge_list(graph)
+    t, coloring = gf.load_coloring(out, g)
+    report = gf.verify_interval(g, coloring, t)
+    assert t == 2 and not report.properness_violations and not report.unused_colors

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import gapfree as gf
 from gapfree.cli import run
 
@@ -242,3 +244,50 @@ def test_byte_identical_reruns(tmp_path, capsys):
     first = pipeline("a")
     second = pipeline("b")
     assert first == second
+
+
+def test_t12_with_a_long_cycle(tmp_path, capsys):
+    # the matching peel on the 6002-vertex double cover needs no recursion
+    left = tmp_path / "p2.g"
+    right = tmp_path / "c3001.g"
+    out = tmp_path / "t12.col"
+    graph = tmp_path / "t12.g"
+    run(["gen", "--family", "P", "--n", "2", "--out", str(left)])
+    run(["gen", "--family", "C", "--n", "3001", "--out", str(right)])
+    assert run([
+        "construct", "--theorem", "t12", "--left", str(left), "--right", str(right),
+        "--out", str(out), "--product-out", str(graph),
+    ]) == 0
+    assert lines(capsys)[-1] == "t=2 vertices=6002 edges=6002"
+    assert run(["verify", str(graph), str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_bad_budgets_exit_3(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "k2.g"
+    run(["gen", "--family", "K", "--n", "2", "--out", str(g)])
+    assert run(["oracle", str(g), "--budget", "-5"]) == 3
+    assert run(["chi-prime", str(g), "--budget=-1"]) == 3
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("INTERVAL_BUDGET", value)
+        assert run(["oracle", str(g)]) == 3
+        assert "INTERVAL_BUDGET" in capsys.readouterr().err
+    monkeypatch.setenv("INTERVAL_BUDGET", "0")
+    assert run(["oracle", str(g)]) == 2  # zero is a budget, not an error
+    capsys.readouterr()
+
+
+def test_non_ascii_files_exit_3(tmp_path, capsys):
+    good = tmp_path / "k2.g"
+    run(["gen", "--family", "K", "--n", "2", "--out", str(good)])
+    bad_graph = tmp_path / "bad.g"
+    bad_graph.write_bytes(b"2 1\n0 1 \xe9\n")
+    assert run(["oracle", str(bad_graph)]) == 3
+    bad_col = tmp_path / "bad.col"
+    bad_col.write_bytes(b"t=1\n0 0 1 1 \xff\n")
+    assert run(["verify", str(good), str(bad_col)]) == 3
+    assert "non-ASCII" in capsys.readouterr().err
+    bad_prov = tmp_path / "bad.prov"
+    bad_prov.write_bytes(b"0 cross 0 0 1 1\n# caf\xc3\xa9\n")
+    with pytest.raises(gf.BadParameter, match="non-ASCII"):
+        gf.read_provenance(bad_prov)

@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 import gapfree as gf
+from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
 
-from helpers import SEED, named, oracle_cached
+from helpers import SEED, naive_oracle, named, oracle_cached
 
 
 def test_find_c3_cases():
@@ -98,7 +100,7 @@ def test_naive_agreement_on_small_graphs():
     for g in graphs:
         result = gf.oracle(g)
         assert result.status == "complete"
-        assert (result.member, result.w, result.W) == gf.naive_oracle(g), g
+        assert (result.member, result.w, result.W) == naive_oracle(g), g
 
 
 def test_regular_contiguity():
@@ -132,7 +134,7 @@ def test_naive_agreement_on_random_graphs():
             continue
         result = gf.oracle(g)
         assert result.status == "complete"
-        assert (result.member, result.w, result.W) == gf.naive_oracle(g), g
+        assert (result.member, result.w, result.W) == naive_oracle(g), g
         checked += 1
 
 
@@ -182,3 +184,84 @@ def test_cross_validate_partial_note():
     partial = gf.oracle(named("grid", 3, 3), budget=10)
     report = gf.cross_validate(gf.EdgeColoring((1,) * 5), partial)
     assert any("partial" in note for note in report.notes)
+
+
+def _witness_digest(witnesses) -> str:
+    text = repr(sorted((t, c.colors) for t, c in witnesses.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_search_tree_pins():
+    # node counts and witnesses recorded from the recursive search this engine
+    # replaced; the same tree gives the same numbers
+    tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
+    pins = [
+        (named("grid", 3, 4), (True, 4, 8, "complete", 171031), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 4250), "14ffcb31b319e9f5"),
+        (named("petersen"), (False, None, None, "complete", 346), "4f53cda18c2baa0c"),
+        (tensor, (True, 4, None, "budget_exceeded", 200001), "59dc31c5559d1e85"),
+    ]
+    for g, verdict, digest in pins:
+        result = gf.oracle(g, 200_000)
+        assert (result.member, result.w, result.W, result.status,
+                result.nodes_explored) == verdict
+        assert _witness_digest(result.witnesses) == digest
+        for t, witness in result.witnesses.items():
+            assert gf.verify_interval(g, witness, t).valid
+
+
+def test_atlas_search_tree_pin():
+    # every non-empty atlas graph on at most 6 vertices, at a budget that caps
+    # a few of them; digests recorded from the recursive searches
+    nx = pytest.importorskip("networkx")
+    oracle_digest = hashlib.sha256()
+    chi_digest = hashlib.sha256()
+    for a in nx.graph_atlas_g():
+        if not a.number_of_edges() or a.number_of_nodes() > 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        r = gf.oracle(g, 2000)
+        oracle_digest.update(repr((
+            r.member, r.w, r.W, r.status, r.nodes_explored,
+            sorted((t, c.colors) for t, c in r.witnesses.items()),
+        )).encode())
+        try:
+            chi = gf.exact_chromatic_index(g, 2000)
+            chi_digest.update(repr((chi.chi_prime, chi.witness.colors)).encode())
+        except BudgetExceeded as exc:
+            chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
+    assert oracle_digest.hexdigest()[:16] == "f1351bfeff39045a"
+    assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
+
+
+def test_budget_is_exact():
+    grid = named("grid", 3, 3)
+    for limit in (0, 1, 10):
+        with pytest.raises(BudgetExceeded) as exc:
+            gf.find_interval_coloring(grid, 5, budget=limit)
+        assert exc.value.nodes == limit + 1
+    # one budget shared by the probes of a bracket: limits that run out in
+    # the first, a middle and the last probe all stop at exactly limit + 1
+    full = gf.oracle(grid).nodes_explored
+    for limit in (0, 7, full // 3, full // 2, full - 1):
+        partial = gf.oracle(grid, budget=limit)
+        assert partial.status == "budget_exceeded"
+        assert partial.nodes_explored == limit + 1
+    assert gf.oracle(grid, budget=full).status == "complete"
+
+
+def test_long_path_has_no_depth_limit():
+    path = named("P", 5001)
+    found = gf.find_interval_coloring(path, 2)
+    assert found is not None and gf.verify_interval(path, found, 2).valid
+
+
+def test_cli_long_path_probe(tmp_path, capsys):
+    graph = tmp_path / "p1500.g"
+    out = tmp_path / "p1500.col"
+    assert run(["gen", "--family", "P", "--n", "1500", "--out", str(graph)]) == 0
+    assert run(["oracle", str(graph), "--t", "2", "--out", str(out)]) == 0
+    g = gf.read_edge_list(graph)
+    t, coloring = gf.load_coloring(out, g)
+    assert t == 2 and gf.verify_interval(g, coloring, 2).valid
+    capsys.readouterr()
