@@ -115,19 +115,27 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
     if t < 0:
         raise ValueError(f"declared color count must be >= 0, got {t}")
 
+    colors = coloring.colors
     properness: list[PropernessViolation] = []
     gaps: list[GapViolation] = []
-    for v in range(g.n):
+    for v, edges in enumerate(g.incident):
+        if not edges:
+            continue
+        # distinct colors spanning exactly the degree: proper and gap-free here;
+        # colors read from files may be huge, so nothing is indexed by color
+        seen = [colors[e] for e in edges]
+        lo, hi = min(seen), max(seen)
+        if hi - lo + 1 == len(seen) == len(set(seen)):
+            continue
         by_color: dict[int, list[int]] = {}
-        for e in g.incident[v]:
-            by_color.setdefault(coloring.colors[e], []).append(e)
+        for e in edges:
+            by_color.setdefault(colors[e], []).append(e)
         for color, es in sorted(by_color.items()):
             if len(es) > 1:
                 for a, b in combinations(es, 2):
                     properness.append(PropernessViolation(v, a, b, color))
-        spec = spectrum(g, coloring, v)
-        if not spec.is_interval:
-            gaps.append(GapViolation(v, spec.colors))
+        if hi - lo + 1 != len(by_color):
+            gaps.append(GapViolation(v, tuple(sorted(by_color))))
 
     used = coloring.palette
     mismatches = [c for c in range(1, t + 1) if c not in used]
@@ -169,6 +177,8 @@ def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
         t = int(rows[0][2:])
     except ValueError:
         raise BadParameter(f"{path}: malformed header {rows[0]!r}") from None
+    if t < 0:
+        raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
     m = len(rows) - 1
     edges: list[Optional[tuple[int, int]]] = [None] * m
     colors = [0] * m

@@ -10,7 +10,7 @@ of the product with a predictable color count:
     lex over n*K1     t * n          (minimal variant)
                       t * n + n - 1  (maximal variant)
     lex over H        t * n + r
-    cartesian         at most t_left + t_right
+    cartesian         t_left + t_right
 
 where t is the left coloring's count, r the right factor's regularity, and n
 the right factor's vertex count. The tensor-style constructors transport an
@@ -27,7 +27,7 @@ the known bound formulas on products and the grid-like families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
 from .colorings import EdgeColoring, verify_interval
@@ -47,34 +47,8 @@ from .products import ProductGraph, ProductKind, product
 
 _K2 = build_graph(2, [(0, 1)])
 
-
-@dataclass(frozen=True)
-class ConstructionInput:
-    """A validated (left graph, interval coloring, right factor) bundle.
-
-    t is the left coloring's color count, r the right factor's regularity
-    (when a right graph is present), n its vertex count or the blow-up size.
-    """
-
-    g: Graph
-    alpha: EdgeColoring
-    t: int
-    h: Optional[Graph] = None
-    r: Optional[int] = None
-    n: Optional[int] = None
-
-
-def prepare_input(
-    g: Graph,
-    alpha: EdgeColoring,
-    h: Optional[Graph] = None,
-    n: Optional[int] = None,
-) -> ConstructionInput:
-    """Validate constructor inputs once: alpha must be an interval coloring of
-    g, and h (when given) must be regular with degree >= 1."""
-    t = _validated_alpha(g, alpha)
-    r = _require_regular(h) if h is not None else None
-    return ConstructionInput(g, alpha, t, h, r, h.n if h is not None else n)
+# color of the product edge (i, p)-(j, q), where (i, p) is the lower endpoint
+EdgeRule = Callable[[int, int, int, int], int]
 
 
 def _validated_alpha(g: Graph, alpha: EdgeColoring) -> int:
@@ -118,44 +92,50 @@ def _interval_regular_coloring(h: Graph, budget: int) -> EdgeColoring:
     return result.witness
 
 
+def _by_edge(g: Graph, coloring: EdgeColoring) -> dict[tuple[int, int], int]:
+    """Colors keyed by canonical edge; a product edge's factor pairs are canonical."""
+    return dict(zip(g.edges, coloring.colors))
+
+
 def _spectra_bounds(g: Graph, alpha: EdgeColoring) -> tuple[list[int], list[int]]:
     """Per-vertex (min, max) of the incident colors.
 
     Isolated vertices default to min 1 / max 0, which makes the offset
     formulas collapse to no shift there.
     """
-    mins = [0] * g.n
-    maxs = [0] * g.n
-    for k, (u, v) in enumerate(g.edges):
-        c = alpha.colors[k]
-        for x in (u, v):
-            if mins[x] == 0 or c < mins[x]:
-                mins[x] = c
-            if c > maxs[x]:
-                maxs[x] = c
-    return [m if m else 1 for m in mins], maxs
+    seen = [[alpha.colors[e] for e in edges] for edges in g.incident]
+    return [min(s, default=1) for s in seen], [max(s, default=0) for s in seen]
 
 
-def _double_cover_table(kind: ProductKind, h: Graph) -> dict[tuple[int, int], int]:
-    """Exact coloring of K2 x H (or K2 (x) H), keyed by (copy-0 index, copy-1 index).
+def _block_rule(
+    kind: ProductKind, g: Graph, alpha: EdgeColoring, h: Graph, stride: int
+) -> EdgeRule:
+    """Tensor-style color of an edge between copies i < j: the block of the left
+    color of (i, j), and inside it the color of (p, q) in an exact coloring of
+    K2 x H (or K2 (x) H) with copy i on the covering side 0.
 
     The cover is regular bipartite, so the peeled coloring is an interval one
     in which every vertex sees every color; that is what makes the per-edge
-    offsets below close up into intervals.
+    offsets close up into intervals.
     """
     cover = product(kind, _K2, h)
     beta = bipartite_regular_coloring(cover.graph)
     n = h.n
-    table: dict[tuple[int, int], int] = {}
-    for k, (a, b) in enumerate(cover.graph.edges):
-        table[(a, b - n)] = beta.colors[k]
-    return table
+    table = {(a, b - n): c for (a, b), c in zip(cover.graph.edges, beta.colors)}
+    left = _by_edge(g, alpha)
+    return lambda i, p, j, q: (left[(i, j)] - 1) * stride + table[(p, q)]
 
 
-def _finish(
-    prod: ProductGraph, colors: list[int], expected_t: int, what: str
+def _compose(
+    kind: ProductKind, g: Graph, h: Graph, rule: EdgeRule, expected_t: int, what: str
 ) -> tuple[ProductGraph, EdgeColoring]:
-    coloring = EdgeColoring(tuple(colors))
+    """Build the product, color every edge by rule, and refuse to return the
+    coloring unless it is an interval expected_t-coloring."""
+    prod = product(kind, g, h)
+    coords = prod.coords
+    coloring = EdgeColoring(
+        tuple(rule(*coords[a], *coords[b]) for a, b in prod.graph.edges)
+    )
     report = verify_interval(prod.graph, coloring, expected_t)
     if not report.valid:
         raise ConstructionFailed(
@@ -167,43 +147,24 @@ def _finish(
     return prod, coloring
 
 
-def _offset_by_double_cover(
-    kind: ProductKind, g: Graph, alpha: EdgeColoring, h: Graph, stride: int
-) -> tuple[ProductGraph, list[int]]:
-    """Color every edge of a tensor-style product by block offsets.
-
-    An edge between copies i < j inherits the block of the left color of
-    (i, j) and, inside the block, the cover color of its right endpoints taken
-    with copy i on the covering side 0.
-    """
-    table = _double_cover_table(kind, h)
-    prod = product(kind, g, h)
-    colors: list[int] = []
-    for a, b in prod.graph.edges:
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
-        left_color = alpha.colors[g.edge_id(i, j)]
-        colors.append((left_color - 1) * stride + table[(p, q)])
-    return prod, colors
-
-
 def tensor_interval(
     g: Graph, alpha: EdgeColoring, h: Graph
 ) -> tuple[ProductGraph, EdgeColoring]:
     """Interval (t*r)-coloring of the tensor product with an r-regular right factor."""
-    inp = prepare_input(g, alpha, h)
-    prod, colors = _offset_by_double_cover(ProductKind.TENSOR, g, alpha, h, inp.r)
-    return _finish(prod, colors, inp.t * inp.r, "tensor construction")
+    t = _validated_alpha(g, alpha)
+    r = _require_regular(h)
+    rule = _block_rule(ProductKind.TENSOR, g, alpha, h, r)
+    return _compose(ProductKind.TENSOR, g, h, rule, t * r, "tensor construction")
 
 
 def strong_tensor_interval(
     g: Graph, alpha: EdgeColoring, h: Graph
 ) -> tuple[ProductGraph, EdgeColoring]:
     """Interval (t*(r+1))-coloring of the strong tensor (semistrong) product."""
-    inp = prepare_input(g, alpha, h)
-    prod, colors = _offset_by_double_cover(
-        ProductKind.STRONG_TENSOR, g, alpha, h, inp.r + 1
-    )
-    return _finish(prod, colors, inp.t * (inp.r + 1), "strong tensor construction")
+    t = _validated_alpha(g, alpha)
+    r = _require_regular(h)
+    rule = _block_rule(ProductKind.STRONG_TENSOR, g, alpha, h, r + 1)
+    return _compose(ProductKind.STRONG_TENSOR, g, h, rule, t * (r + 1), "strong tensor construction")
 
 
 def strong_interval(
@@ -212,46 +173,25 @@ def strong_interval(
     """Interval (t*(r+1)+r)-coloring of the strong product.
 
     The right factor must additionally be class 1 (else no interval coloring
-    of it exists to fill the copies with). Phase 1 colors the semistrong part
-    exactly as strong_tensor_interval; phase 2 lays an exact coloring of H
-    over each copy, anchored directly above the copy's phase-1 ceiling.
+    of it exists to fill the copies with). Edges between copies are colored
+    exactly as strong_tensor_interval colors them, which tops copy i out at
+    max S(u_i) * (r+1); an exact coloring of H is laid over each copy
+    directly above that.
     """
-    inp = prepare_input(g, alpha, h)
-    t, r = inp.t, inp.r
-    h_coloring = _interval_regular_coloring(h, budget)
-    table = _double_cover_table(ProductKind.STRONG_TENSOR, h)
-    stride = r + 1
+    t = _validated_alpha(g, alpha)
+    r = _require_regular(h)
+    h_colors = _by_edge(h, _interval_regular_coloring(h, budget))
+    between = _block_rule(ProductKind.STRONG_TENSOR, g, alpha, h, r + 1)
     _, max_s = _spectra_bounds(g, alpha)
 
-    prod = product(ProductKind.STRONG, g, h)
-    colors = [0] * prod.graph.m
-    for k, (a, b) in enumerate(prod.graph.edges):
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
-        if i != j:
-            left_color = alpha.colors[g.edge_id(i, j)]
-            colors[k] = (left_color - 1) * stride + table[(p, q)]
-
-    # the phase-1 ceiling at every vertex of copy i must equal max S(u_i) * (r+1),
-    # otherwise stacking phase 2 on top of it would open a gap
-    top = [0] * prod.graph.n
-    for k, (a, b) in enumerate(prod.graph.edges):
-        if colors[k]:
-            if colors[k] > top[a]:
-                top[a] = colors[k]
-            if colors[k] > top[b]:
-                top[b] = colors[k]
-    for x in range(prod.graph.n):
-        i, _ = prod.coords[x]
-        if top[x] and top[x] != max_s[i] * stride:
-            raise ConstructionFailed(
-                f"phase-1 ceiling {top[x]} at vertex {x} differs from {max_s[i] * stride}"
-            )
-
-    for k, (a, b) in enumerate(prod.graph.edges):
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
+    def rule(i: int, p: int, j: int, q: int) -> int:
         if i == j:
-            colors[k] = max_s[i] * stride + h_coloring.colors[h.edge_id(p, q)]
-    return _finish(prod, colors, t * stride + r, "strong product construction")
+            return max_s[i] * (r + 1) + h_colors[(p, q)]
+        return between(i, p, j, q)
+
+    return _compose(
+        ProductKind.STRONG, g, h, rule, t * (r + 1) + r, "strong product construction"
+    )
 
 
 def _lex_cross_color(alpha_color: int, n: int, p: int, q: int) -> int:
@@ -279,18 +219,19 @@ def lex_empty_interval(
         raise BadN(f"copy count must be >= 1, got {n}")
     if variant not in ("w", "W"):
         raise BadParameter(f"variant must be 'w' or 'W', got {variant!r}")
-    t = prepare_input(g, alpha, n=n).t
-    prod = product(ProductKind.LEXICOGRAPHIC, g, build_graph(n, []))
-    colors: list[int] = []
-    for a, b in prod.graph.edges:
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
-        left_color = alpha.colors[g.edge_id(i, j)]
+    t = _validated_alpha(g, alpha)
+    left = _by_edge(g, alpha)
+
+    def rule(i: int, p: int, j: int, q: int) -> int:
         if variant == "w":
-            colors.append(_lex_cross_color(left_color, n, p, q))
-        else:
-            colors.append((left_color - 1) * n + (p + 1) + (q + 1) - 1)
+            return _lex_cross_color(left[(i, j)], n, p, q)
+        return (left[(i, j)] - 1) * n + p + q + 1
+
     expected = t * n if variant == "w" else t * n + n - 1
-    return _finish(prod, colors, expected, f"lexicographic blow-up ({variant} variant)")
+    return _compose(
+        ProductKind.LEXICOGRAPHIC, g, build_graph(n, []), rule, expected,
+        f"lexicographic blow-up ({variant} variant)",
+    )
 
 
 def lex_regular_interval(
@@ -301,50 +242,48 @@ def lex_regular_interval(
     Cross edges take the blow-up colors lifted by r; each copy of H sits below
     its own cross block, anchored at (min S(u_i) - 1) * n.
     """
-    inp = prepare_input(g, alpha, h)
-    t, r, n = inp.t, inp.r, inp.n
-    h_coloring = _interval_regular_coloring(h, budget)
+    t = _validated_alpha(g, alpha)
+    r = _require_regular(h)
+    n = h.n
+    h_colors = _by_edge(h, _interval_regular_coloring(h, budget))
     min_s, _ = _spectra_bounds(g, alpha)
-    prod = product(ProductKind.LEXICOGRAPHIC, g, h)
-    colors: list[int] = []
-    for a, b in prod.graph.edges:
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
+    left = _by_edge(g, alpha)
+
+    def rule(i: int, p: int, j: int, q: int) -> int:
         if i == j:
-            colors.append((min_s[i] - 1) * n + h_coloring.colors[h.edge_id(p, q)])
-        else:
-            left_color = alpha.colors[g.edge_id(i, j)]
-            colors.append(r + _lex_cross_color(left_color, n, p, q))
-    return _finish(prod, colors, t * n + r, "lexicographic product construction")
+            return (min_s[i] - 1) * n + h_colors[(p, q)]
+        return r + _lex_cross_color(left[(i, j)], n, p, q)
+
+    return _compose(
+        ProductKind.LEXICOGRAPHIC, g, h, rule, t * n + r,
+        "lexicographic product construction",
+    )
 
 
 def cartesian_interval(
     g: Graph, alpha_g: EdgeColoring, h: Graph, alpha_h: EdgeColoring
 ) -> tuple[ProductGraph, EdgeColoring]:
-    """Interval coloring of the Cartesian product with at most t_g + t_h colors.
+    """Interval (t_g + t_h)-coloring of the Cartesian product.
 
     Left-layer edges keep their left color shifted up by the fiber's minimum
     right color minus one; right-layer edges are shifted above the copy's
     maximum left color. At every vertex the two shifted spectra meet without
-    overlap or gap.
+    overlap or gap, and the top color is t_g + t_h.
     """
     t_g = _validated_alpha(g, alpha_g)
     t_h = _validated_alpha(h, alpha_h)
     min_h, _ = _spectra_bounds(h, alpha_h)
     _, max_g = _spectra_bounds(g, alpha_g)
-    prod = product(ProductKind.CARTESIAN, g, h)
-    colors: list[int] = []
-    for a, b in prod.graph.edges:
-        (i, p), (j, q) = prod.coords[a], prod.coords[b]
+    left, right = _by_edge(g, alpha_g), _by_edge(h, alpha_h)
+
+    def rule(i: int, p: int, j: int, q: int) -> int:
         if p == q:
-            colors.append(alpha_g.colors[g.edge_id(i, j)] + min_h[p] - 1)
-        else:
-            colors.append(alpha_h.colors[h.edge_id(p, q)] + max_g[i])
-    prod, coloring = _finish(prod, colors, len(set(colors)), "cartesian composition")
-    if coloring.t > t_g + t_h:
-        raise ConstructionFailed(
-            f"cartesian composition used {coloring.t} colors, above {t_g} + {t_h}"
-        )
-    return prod, coloring
+            return left[(i, j)] + min_h[p] - 1
+        return right[(p, q)] + max_g[i]
+
+    return _compose(
+        ProductKind.CARTESIAN, g, h, rule, t_g + t_h, "cartesian composition"
+    )
 
 
 def torus_hamming_membership(dims: Sequence[int], kind: str) -> bool:

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import BadParameter, EmptyFactor, OutOfRange
-from .graph import Graph, build_graph, data_lines
+from .graph import Graph, data_lines
 
 
 class ProductKind(Enum):
@@ -71,36 +71,30 @@ class ProductGraph:
 
 
 def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
-    """Build the product of two nonempty graphs; deterministic for equal inputs."""
+    """Build the product of two nonempty graphs; deterministic for equal inputs.
+
+    Every edge is emitted once, lower endpoint first (i < j or p < q), so the
+    sorted list is already canonical and needs no re-validation.
+    """
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("product factors must have at least one vertex")
     m = h.n
-    edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        edges.add((a, b) if a < b else (b, a))
-
+    edges: list[tuple[int, int]] = []
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG_TENSOR, ProductKind.STRONG):
-        for i, j in g.edges:
-            for p in range(m):
-                add(i * m + p, j * m + p)
+        edges += [(i * m + p, j * m + p) for i, j in g.edges for p in range(m)]
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.LEXICOGRAPHIC):
-        for i in range(g.n):
-            for p, q in h.edges:
-                add(i * m + p, i * m + q)
+        edges += [(i * m + p, i * m + q) for i in range(g.n) for p, q in h.edges]
     if kind in (ProductKind.TENSOR, ProductKind.STRONG_TENSOR, ProductKind.STRONG):
         for i, j in g.edges:
             for p, q in h.edges:
-                add(i * m + p, j * m + q)
-                add(i * m + q, j * m + p)
+                edges += ((i * m + p, j * m + q), (i * m + q, j * m + p))
     if kind is ProductKind.LEXICOGRAPHIC:
-        for i, j in g.edges:
-            for p in range(m):
-                for q in range(m):
-                    add(i * m + p, j * m + q)
-
+        edges += [
+            (i * m + p, j * m + q) for i, j in g.edges for p in range(m) for q in range(m)
+        ]
+    edges.sort()
     return ProductGraph(
-        graph=build_graph(g.n * m, sorted(edges)),
+        graph=Graph(g.n * m, tuple(edges)),
         kind=kind,
         left_n=g.n,
         right_n=m,
@@ -121,14 +115,10 @@ def read_provenance(path) -> list[tuple[int, EdgeOrigin, int, int, int, int]]:
         parts = line.split()
         if len(parts) != 6:
             raise BadParameter(f"{path}: malformed provenance line {line!r}")
-        rows.append(
-            (
-                int(parts[0]),
-                EdgeOrigin(parts[1]),
-                int(parts[2]),
-                int(parts[3]),
-                int(parts[4]),
-                int(parts[5]),
-            )
-        )
+        try:
+            k, i, p, j, q = (int(parts[x]) for x in (0, 2, 3, 4, 5))
+            origin = EdgeOrigin(parts[1])
+        except ValueError:
+            raise BadParameter(f"{path}: malformed provenance line {line!r}") from None
+        rows.append((k, origin, i, p, j, q))
     return rows

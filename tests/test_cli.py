@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -217,6 +218,8 @@ def test_malformed_files_exit_3(tmp_path, capsys):
     assert run(["verify", str(good), str(bad_col)]) == 3
     bad_col.write_text("nonsense\n")
     assert run(["verify", str(good), str(bad_col)]) == 3
+    bad_col.write_text("t=-1\n0 0 1 1\n")
+    assert run(["verify", str(good), str(bad_col)]) == 3
     capsys.readouterr()
 
 
@@ -291,3 +294,27 @@ def test_non_ascii_files_exit_3(tmp_path, capsys):
     bad_prov.write_bytes(b"0 cross 0 0 1 1\n# caf\xc3\xa9\n")
     with pytest.raises(gf.BadParameter, match="non-ASCII"):
         gf.read_provenance(bad_prov)
+    for row in (b"0 cross x 0 1 1\n", b"0 diagonal 0 0 1 1\n"):
+        bad_prov.write_bytes(row)
+        with pytest.raises(gf.BadParameter):
+            gf.read_provenance(bad_prov)
+
+
+def test_construct_output_pin(tmp_path, capsys):
+    # t14 output files, recorded before the constructors shared one loop
+    left = tmp_path / "p4.g"
+    right = tmp_path / "c4.g"
+    col = tmp_path / "s.col"
+    graph = tmp_path / "s.g"
+    run(["gen", "--family", "P", "--n", "4", "--out", str(left)])
+    run(["gen", "--family", "C", "--n", "4", "--out", str(right)])
+    assert run([
+        "construct", "--theorem", "t14", "--left", str(left), "--right", str(right),
+        "--out", str(col), "--product-out", str(graph),
+    ]) == 0
+    assert lines(capsys)[-1] == "t=8 vertices=16 edges=52"
+    digests = [
+        hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        for path in (col, graph, tmp_path / "s.g.prov")
+    ]
+    assert digests == ["c813b1c88b3ef9da", "b470d95076ab0b85", "66dd24a335a7f3b4"]

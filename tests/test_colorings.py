@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 import gapfree as gf
 from gapfree.errors import BadParameter
 
-from helpers import SEED, named
+from helpers import P4_ALPHA_3, SEED, named
 
 
 def test_spectrum_k2():
@@ -202,3 +203,26 @@ def test_total_coloring_required():
         gf.verify_interval(named("P", 4), gf.EdgeColoring((1,)), 1)
     with pytest.raises(ValueError):
         gf.EdgeColoring((0, 1))
+
+
+def test_corrupted_product_report_pin():
+    # the full report, in order, recorded before the verifier became one pass
+    prod, coloring = gf.strong_interval(
+        named("P", 4), gf.EdgeColoring(P4_ALPHA_3), named("C", 4)
+    )
+    t = coloring.t
+    colors = list(coloring.colors)
+    first, second = prod.graph.incident[5][:2]
+    colors[second] = colors[first]
+    colors[0] = 10**12
+    colors[9] = t + 5
+    colors[30] = 1
+    report = gf.verify_interval(prod.graph, gf.EdgeColoring(tuple(colors)), t + 3)
+    assert not report.valid
+    assert report.unused_colors == (t + 1, t + 2, t + 3, t + 5, 10**12)
+    assert (
+        len(report.properness_violations),
+        len(report.gap_violations),
+        len(report.unused_colors),
+    ) == (3, 6, 5)
+    assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == "d248b38e57bbcfe6"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import gapfree as gf
@@ -12,7 +14,14 @@ from gapfree.errors import (
 
 import random
 
-from helpers import SEED, collect_matrix, named, oracle_cached
+from helpers import (
+    K13E_ALPHA_3,
+    P4_ALPHA_W,
+    SEED,
+    collect_matrix,
+    named,
+    oracle_cached,
+)
 
 
 def test_matrix_soundness():
@@ -316,3 +325,45 @@ def test_isolated_vertices_in_factors():
     h = gf.build_graph(3, [(1, 2)])
     prod, coloring = gf.cartesian_interval(g, alpha, h, gf.EdgeColoring((1,)))
     assert gf.verify_interval(prod.graph, coloring, coloring.t).valid
+
+
+def test_construction_pins():
+    # edges and colours of every theorem variant, recorded before the
+    # constructors became colour rules over one shared loop
+    lefts = [
+        (named("k13e"), gf.EdgeColoring(K13E_ALPHA_3)),
+        (named("P", 4), gf.EdgeColoring(P4_ALPHA_W)),
+    ]
+    rights = [named("C", 4), named("K", 4)]
+
+    def least(h):
+        result = oracle_cached(h)
+        return result.witnesses[result.w]
+
+    builds = {
+        "t2": lambda g, a, h: gf.cartesian_interval(g, a, h, least(h)),
+        "t12": gf.tensor_interval,
+        "t13": gf.strong_tensor_interval,
+        "t14": gf.strong_interval,
+        "t16w": lambda g, a, h: gf.lex_empty_interval(g, a, h.n - 1, "w"),
+        "t16W": lambda g, a, h: gf.lex_empty_interval(g, a, h.n - 1, "W"),
+        "t17": gf.lex_regular_interval,
+    }
+    pins = {
+        "t2": "ecf27221813ee027",
+        "t12": "fd38b7e4fb95cf2a",
+        "t13": "b320bfac911c0c64",
+        "t14": "47d2fe823e646ac2",
+        "t16w": "93b5b016dddd32b5",
+        "t16W": "6092d275731d481a",
+        "t17": "ff09ac43689d5e0a",
+    }
+    got = {}
+    for theorem, build in builds.items():
+        digest = hashlib.sha256()
+        for g, alpha in lefts:
+            for h in rights:
+                prod, coloring = build(g, alpha, h)
+                digest.update(repr((prod.graph.n, prod.graph.edges, coloring.colors)).encode())
+        got[theorem] = digest.hexdigest()[:16]
+    assert got == pins

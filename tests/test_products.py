@@ -91,6 +91,9 @@ def test_size_identities_on_random_factors():
             gf.product(ProductKind.LEXICOGRAPHIC, g, h).graph.m
             == vg * eh + vh * vh * eg
         )
+        for kind in KINDS:
+            p = gf.product(kind, g, h)
+            assert gf.build_graph(p.graph.n, p.graph.edges) == p.graph
 
 
 def test_tensor_p4_c5_sizes():
