@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, count, islice
+from operator import ne
 from typing import Optional
 
 from .errors import BadParameter
@@ -24,9 +25,9 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.colors:
-            if c < 1:
-                raise ValueError(f"colors must be positive integers, got {c}")
+        if min(self.colors, default=1) < 1:
+            c = next(c for c in self.colors if c < 1)
+            raise ValueError(f"colors must be positive integers, got {c}")
 
     @cached_property
     def palette(self) -> frozenset[int]:
@@ -180,26 +181,24 @@ def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
     if t < 0:
         raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
     m = len(rows) - 1
-    edges: list[Optional[tuple[int, int]]] = [None] * m
+    edges: list = [None] * m
     colors = [0] * m
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 4:
-            raise BadParameter(f"{path}: malformed coloring line {row!r}")
-        try:
-            k, u, v, c = (int(x) for x in parts)
-        except ValueError:
-            raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
-        if not 0 <= k < m:
-            raise BadParameter(f"{path}: edge id {k} outside 0..{m - 1}")
-        if edges[k] is not None:
-            raise BadParameter(f"{path}: duplicate edge id {k}")
-        if c < 1:
-            raise BadParameter(f"{path}: edge {k} has non-positive color {c}")
-        edges[k] = (u, v)
-        colors[k] = c
+    try:
+        for row in islice(rows, 1, None):
+            k, u, v, c = row.split()  # a wrong token count fails the unpack
+            k, u, v, c = int(k), int(u), int(v), int(c)
+            if not 0 <= k < m:
+                raise BadParameter(f"{path}: edge id {k} outside 0..{m - 1}")
+            if edges[k] is not None:
+                raise BadParameter(f"{path}: duplicate edge id {k}")
+            if c < 1:
+                raise BadParameter(f"{path}: edge {k} has non-positive color {c}")
+            edges[k] = (u, v)
+            colors[k] = c
+    except ValueError:
+        raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
     # m lines with m distinct in-range ids: every slot is filled here
-    return t, [e for e in edges if e is not None], colors
+    return t, edges, colors
 
 
 def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
@@ -209,9 +208,12 @@ def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
         raise BadParameter(
             f"{path}: {len(edges)} colored edges for a graph with {g.m}"
         )
-    for k, (u, v) in enumerate(edges):
-        eu, ev = min(u, v), max(u, v)
-        if g.edges[k] != (eu, ev):
+    if t > g.m:  # m edges carry at most m colors, and the palette check is O(t)
+        raise BadParameter(f"{path}: declared color count must be <= the edge count {g.m}, got {t}")
+    # only rows that differ from the canonical pair are looked at again
+    for k in compress(count(), map(ne, edges, g.edges)):
+        u, v = edges[k]
+        if (v, u) != g.edges[k]:
             raise BadParameter(
                 f"{path}: edge id {k} is ({u},{v}) but the graph has {g.edges[k]}"
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Optional
 
 from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
@@ -90,16 +91,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise BadParameter(f"vertex count must be >= 0, got {n}")
     seen: set[tuple[int, int]] = set()
     canon: list[tuple[int, int]] = []
-    for u, v in edges:
+    add, append = seen.add, canon.append
+    for e in edges:
+        u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge {key} listed twice")
-        seen.add(key)
-        canon.append(key)
+        if u > v:
+            e = (v, u)
+        elif type(e) is not tuple:  # a canonical tuple is kept, not copied
+            e = (u, v)
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} listed twice")
+        add(e)
+        append(e)
     return Graph(n, tuple(sorted(canon)))
 
 
@@ -173,7 +179,7 @@ def data_lines(path) -> list[str]:
     lines; a byte outside ASCII raises BadParameter like any malformed line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+            return [s for s in map(str.strip, fh) if s and s[0] != "#"]
     except UnicodeDecodeError as exc:
         raise BadParameter(
             f"{path}: non-ASCII byte {exc.object[exc.start]:#04x}"
@@ -185,22 +191,18 @@ def read_edge_list(path) -> Graph:
     rows = data_lines(path)
     if not rows:
         raise BadParameter(f"{path}: empty edge-list file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise BadParameter(f"{path}: malformed header {rows[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, rows[0].split())  # a wrong token count fails the unpack
     except ValueError:
         raise BadParameter(f"{path}: malformed header {rows[0]!r}") from None
     if len(rows) - 1 != m:
         raise BadParameter(f"{path}: header declares {m} edges, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise BadParameter(f"{path}: malformed edge line {row!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise BadParameter(f"{path}: malformed edge line {row!r}") from None
+    edges: list[tuple[int, int]] = []
+    append = edges.append
+    try:
+        for row in islice(rows, 1, None):
+            u, v = row.split()  # a wrong token count fails the unpack
+            append((int(u), int(v)))
+    except ValueError:
+        raise BadParameter(f"{path}: malformed edge line {row!r}") from None
     return build_graph(n, edges)

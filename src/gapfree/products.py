@@ -48,16 +48,14 @@ class ProductGraph:
 
     @cached_property
     def edge_origin(self) -> tuple[EdgeOrigin, ...]:
-        tags = []
-        for u, v in self.graph.edges:
-            (i, p), (j, q) = self.coords[u], self.coords[v]
-            if i == j:
-                tags.append(EdgeOrigin.H_LAYER)
-            elif p == q:
-                tags.append(EdgeOrigin.G_LAYER)
-            else:
-                tags.append(EdgeOrigin.CROSS)
-        return tuple(tags)
+        # u = i*m + p and v = j*m + q: i == j iff u // m == v // m, and
+        # p == q iff u and v agree mod m
+        m = self.right_n
+        g_layer, h_layer, cross = EdgeOrigin.G_LAYER, EdgeOrigin.H_LAYER, EdgeOrigin.CROSS
+        return tuple(
+            h_layer if u // m == v // m else g_layer if (v - u) % m == 0 else cross
+            for u, v in self.graph.edges
+        )
 
     def coord_of(self, vertex: int) -> tuple[int, int]:
         if not 0 <= vertex < self.graph.n:
@@ -103,22 +101,19 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
 
 def write_provenance(path, prod: ProductGraph) -> None:
     """Sidecar file: one "edge_id origin i p j q" line per edge."""
+    # "i p" for vertex i * right_n + p, formatted once per vertex, not per edge
+    pairs = [f"{i} {p}" for i in range(prod.left_n) for p in range(prod.right_n)]
     with open(path, "w", encoding="ascii") as fh:
-        for k, (u, v) in enumerate(prod.graph.edges):
-            (i, p), (j, q) = prod.coords[u], prod.coords[v]
-            fh.write(f"{k} {prod.edge_origin[k].value} {i} {p} {j} {q}\n")
+        for k, ((u, v), origin) in enumerate(zip(prod.graph.edges, prod.edge_origin)):
+            fh.write(f"{k} {origin._value_} {pairs[u]} {pairs[v]}\n")
 
 
 def read_provenance(path) -> list[tuple[int, EdgeOrigin, int, int, int, int]]:
     rows = []
     for line in data_lines(path):
-        parts = line.split()
-        if len(parts) != 6:
-            raise BadParameter(f"{path}: malformed provenance line {line!r}")
         try:
-            k, i, p, j, q = (int(parts[x]) for x in (0, 2, 3, 4, 5))
-            origin = EdgeOrigin(parts[1])
+            k, origin, i, p, j, q = line.split()
+            rows.append((int(k), EdgeOrigin(origin), int(i), int(p), int(j), int(q)))
         except ValueError:
             raise BadParameter(f"{path}: malformed provenance line {line!r}") from None
-        rows.append((k, origin, i, p, j, q))
     return rows

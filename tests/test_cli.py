@@ -223,6 +223,88 @@ def test_malformed_files_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+# every malformed-input message, recorded before the readers were rewritten:
+# (reader, file text, exception type, message with {path} for the file)
+MALFORMED = [
+    ("edges", "", gf.BadParameter, "{path}: empty edge-list file"),
+    ("edges", "x y\n", gf.BadParameter, "{path}: malformed header 'x y'"),
+    ("edges", "2 1\n0 1 2\n", gf.BadParameter, "{path}: malformed edge line '0 1 2'"),
+    ("edges", "2 1\n0\n", gf.BadParameter, "{path}: malformed edge line '0'"),
+    ("edges", "2 1\n0 z\n", gf.BadParameter, "{path}: malformed edge line '0 z'"),
+    ("edges", "3 5\n0 1\n", gf.BadParameter, "{path}: header declares 5 edges, found 1"),
+    # the count is checked before any edge line, every line before the graph
+    ("edges", "3 2\n0 z\n", gf.BadParameter, "{path}: header declares 2 edges, found 1"),
+    ("edges", "3 2\n1 1\n0 z\n", gf.BadParameter, "{path}: malformed edge line '0 z'"),
+    ("edges", "-1 0\n", gf.BadParameter, "vertex count must be >= 0, got -1"),
+    ("edges", "3 3\n0 5\n1 1\n0 1\n", gf.VertexOutOfRange, "edge (0,5) outside 0..2"),
+    ("edges", "3 2\n-1 0\n0 1\n", gf.VertexOutOfRange, "edge (-1,0) outside 0..2"),
+    ("edges", "3 3\n0 1\n1 1\n0 5\n", gf.LoopEdge, "loop at vertex 1"),
+    ("edges", "3 3\n1 0\n0 1\n2 2\n", gf.DuplicateEdge, "edge (0, 1) listed twice"),
+    ("coloring", "nonsense\n", gf.BadParameter, "{path}: missing t=<K> header"),
+    ("coloring", "t=q\n0 0 1 1\n", gf.BadParameter, "{path}: malformed header 't=q'"),
+    ("coloring", "t=-1\n0 0 1 1\n", gf.BadParameter,
+     "{path}: declared color count must be >= 0, got -1"),
+    ("coloring", "t=1\n0 0 1\n", gf.BadParameter, "{path}: malformed coloring line '0 0 1'"),
+    ("coloring", "t=1\n0 0 1 x\n", gf.BadParameter, "{path}: malformed coloring line '0 0 1 x'"),
+    ("coloring", "t=1\n5 0 1 1\n", gf.BadParameter, "{path}: edge id 5 outside 0..0"),
+    ("coloring", "t=1\n0 0 1 1\n0 1 2 1\n", gf.BadParameter, "{path}: duplicate edge id 0"),
+    ("coloring", "t=1\n0 0 1 0\n", gf.BadParameter, "{path}: edge 0 has non-positive color 0"),
+    # two faults: the earlier row wins, and within a row id range, then
+    # duplicate, then colour
+    ("coloring", "t=1\n0 0 1 0\n1 0 1 x\n", gf.BadParameter,
+     "{path}: edge 0 has non-positive color 0"),
+    ("coloring", "t=1\n1 0 1 x\n0 0 1 0\n", gf.BadParameter,
+     "{path}: malformed coloring line '1 0 1 x'"),
+    ("coloring", "t=1\n7 0 1 0\n", gf.BadParameter, "{path}: edge id 7 outside 0..0"),
+    ("coloring", "t=1\n0 0 1 1\n0 1 2 -3\n", gf.BadParameter, "{path}: duplicate edge id 0"),
+    ("load", "t=1\n0 0 1 1\n", gf.BadParameter, "{path}: 1 colored edges for a graph with 2"),
+    ("load", "t=2\n0 0 1 1\n1 0 2 2\n", gf.BadParameter,
+     "{path}: edge id 1 is (0,2) but the graph has (1, 2)"),
+    ("load", "t=2\n1 2 1 2\n0 1 2 1\n", gf.BadParameter,
+     "{path}: edge id 0 is (1,2) but the graph has (0, 1)"),
+    ("prov", "0 cross 0 0 1\n", gf.BadParameter, "{path}: malformed provenance line '0 cross 0 0 1'"),
+    ("prov", "0 cross x 0 1 1\n", gf.BadParameter,
+     "{path}: malformed provenance line '0 cross x 0 1 1'"),
+    ("prov", "0 diagonal 0 0 1 1\n", gf.BadParameter,
+     "{path}: malformed provenance line '0 diagonal 0 0 1 1'"),
+]
+
+READERS = {
+    "edges": gf.read_edge_list,
+    "coloring": gf.read_coloring,
+    "load": lambda path: gf.load_coloring(path, gf.build_graph(3, [(0, 1), (1, 2)])),
+    "prov": gf.read_provenance,
+}
+
+
+@pytest.mark.parametrize("reader, text, exc, message", MALFORMED)
+def test_malformed_input_messages(tmp_path, reader, text, exc, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(exc) as info:
+        READERS[reader](path)
+    assert type(info.value) is exc
+    assert str(info.value) == message.format(path=path)
+
+
+def test_declared_t_above_edge_count_exits_3(tmp_path, capsys):
+    # m edges carry at most m colours; the header is rejected before the
+    # verifier would list every colour of 1..t as unused
+    good = tmp_path / "k2.g"
+    run(["gen", "--family", "K", "--n", "2", "--out", str(good)])
+    capsys.readouterr()
+    col = tmp_path / "huge.col"
+    for t in (2, 10**12):
+        col.write_text(f"t={t}\n0 0 1 1\n")
+        assert run(["verify", str(good), str(col)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"declared color count must be <= the edge count 1, got {t}" in err
+    col.write_text("t=1\n0 1 0 1\n")  # endpoints in either order
+    assert run(["verify", str(good), str(col)]) == 0
+    capsys.readouterr()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     def pipeline(tag):
         base = tmp_path / tag
@@ -318,3 +400,30 @@ def test_construct_output_pin(tmp_path, capsys):
         for path in (col, graph, tmp_path / "s.g.prov")
     ]
     assert digests == ["c813b1c88b3ef9da", "b470d95076ab0b85", "66dd24a335a7f3b4"]
+
+
+@pytest.mark.parametrize("theorem, summary, want", [
+    # t13 emits G_layer and cross edges, t14 all three origin tags
+    ("t13", "t=6 vertices=144 edges=396",
+     ["b938cf2205dd073b", "6e80176ead4608e8", "f70bdc8800b18896"]),
+    ("t14", "t=8 vertices=144 edges=540",
+     ["ad1d27125730102e", "f684245ea7a4f158", "cb6948f1065700cc"]),
+])
+def test_construct_output_pin_multi_digit(tmp_path, capsys, theorem, summary, want):
+    # output files with multi-digit ids, recorded before the writers streamed
+    left = tmp_path / "p12.g"
+    right = tmp_path / "c12.g"
+    col = tmp_path / "s.col"
+    graph = tmp_path / "s.g"
+    run(["gen", "--family", "P", "--n", "12", "--out", str(left)])
+    run(["gen", "--family", "C", "--n", "12", "--out", str(right)])
+    assert run([
+        "construct", "--theorem", theorem, "--left", str(left), "--right", str(right),
+        "--out", str(col), "--product-out", str(graph),
+    ]) == 0
+    assert lines(capsys)[-1] == summary
+    digests = [
+        hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        for path in (col, graph, tmp_path / "s.g.prov")
+    ]
+    assert digests == want

@@ -17,6 +17,9 @@ def test_build_graph_canonicalizes():
     assert g.edge_id(3, 0) == 1
     assert g.adjacency[0] == (1, 3)
     assert g.has_edge(0, 3) and not g.has_edge(2, 3)
+    # pairs given as lists are stored as tuples too
+    listed = gf.build_graph(4, [[0, 3], [1, 0], [1, 2]])
+    assert listed == g and all(type(e) is tuple for e in listed.edges)
 
 
 def test_build_graph_k2():
