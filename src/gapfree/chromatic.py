@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .colorings import EdgeColoring
 from .errors import NotBipartite, NotRegular
@@ -116,40 +115,30 @@ class ChromaticIndexResult:
     class1: bool
 
 
-def _search_proper(g: Graph, k: int, budget: Budget) -> Optional[tuple[int, ...]]:
-    """First proper edge k-coloring in lexicographic order, or None.
-
-    Edges are tried in descending degree-sum order, BFS rank breaking ties.
-    """
-    if g.m == 0:
-        return ()
-    if k * (g.n // 2) < g.m:
-        return None  # a color class is a matching of at most n//2 edges
-    rank = {e: i for i, e in enumerate(bfs_edge_order(g))}
-    order = sorted(
-        range(g.m),
-        key=lambda e: (-(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]]), rank[e]),
-    )
-    return first_coloring(g, order, k, budget, interval=False)
-
-
 def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIndexResult:
     """Exact chi' with a witness; raises BudgetExceeded when the search gives up.
 
     Only max degree and max degree + 1 are possible for simple graphs, so the
     search at max degree decides the class and the fallback always succeeds.
+    Each search finds the first proper edge k-coloring in lexicographic order,
+    trying edges in descending degree-sum order, BFS rank breaking ties.
     """
     delta = g.max_degree
     if g.m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
     tracker = Budget(budget)
-    found = _search_proper(g, delta, tracker)
-    if found is not None:
-        return ChromaticIndexResult(delta, EdgeColoring(found), True)
-    found = _search_proper(g, delta + 1, tracker)
-    if found is None:
-        raise AssertionError("no (max degree + 1)-edge-coloring found; simple graphs always have one")
-    return ChromaticIndexResult(delta + 1, EdgeColoring(found), False)
+    rank = {e: i for i, e in enumerate(bfs_edge_order(g))}
+    order = sorted(
+        range(g.m),
+        key=lambda e: (-(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]]), rank[e]),
+    )
+    for k in (delta, delta + 1):
+        if k * (g.n // 2) < g.m:
+            continue  # a color class is a matching of at most n//2 edges
+        found = first_coloring(g, order, k, tracker, interval=False)
+        if found is not None:
+            return ChromaticIndexResult(k, EdgeColoring(found), k == delta)
+    raise AssertionError("no (max degree + 1)-edge-coloring found; simple graphs always have one")
 
 
 def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:

@@ -116,6 +116,15 @@ def _get_alpha(g, path, budget):
     )
 
 
+def _emit(args, schema: str, fields: dict, text: str | None = None) -> None:
+    """Print one result line: under --json the schema and then the fields as
+    JSON, otherwise text, by default the fields as space-separated key=value."""
+    if args.json:
+        print(json.dumps({"schema": schema, **fields}))
+    else:
+        print(" ".join(f"{k}={v}" for k, v in fields.items()) if text is None else text)
+
+
 def _cmd_gen(args) -> int:
     params: tuple[int, ...]
     if args.dims:
@@ -143,32 +152,32 @@ def _cmd_product(args) -> int:
     return 0
 
 
+# theorem -> (option naming the second operand, composer(g, alpha, operand,
+# args, budget)); a right factor arrives read. Composers name their
+# constructor at call time, so a replaced module attribute is the one called.
+_THEOREMS = {
+    "t2": ("right", lambda g, alpha, h, args, budget: cartesian_interval(
+        g, alpha, h, _get_alpha(h, args.right_coloring, budget))),
+    "t12": ("right", lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
+    "t13": ("right", lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
+    "t14": ("right", lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
+    "t16w": ("n", lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
+    "t16W": ("n", lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
+    "t17": ("right", lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
+}
+
+
 def _cmd_construct(args) -> int:
     budget = _budget(args)
     g = read_edge_list(args.left)
     alpha = _get_alpha(g, args.left_coloring, budget)
-    theorem = args.theorem
-    if theorem in ("t16w", "t16W"):
-        if args.n is None:
-            raise BadParameter(f"--n is required for {theorem}")
-        prod, coloring = lex_empty_interval(
-            g, alpha, args.n, "w" if theorem == "t16w" else "W"
-        )
-    else:
-        if args.right is None:
-            raise BadParameter(f"--right is required for {theorem}")
-        h = read_edge_list(args.right)
-        if theorem == "t2":
-            beta = _get_alpha(h, args.right_coloring, budget)
-            prod, coloring = cartesian_interval(g, alpha, h, beta)
-        elif theorem == "t12":
-            prod, coloring = tensor_interval(g, alpha, h)
-        elif theorem == "t13":
-            prod, coloring = strong_tensor_interval(g, alpha, h)
-        elif theorem == "t14":
-            prod, coloring = strong_interval(g, alpha, h, budget)
-        else:
-            prod, coloring = lex_regular_interval(g, alpha, h, budget)
+    operand, compose = _THEOREMS[args.theorem]
+    value = getattr(args, operand)
+    if value is None:
+        raise BadParameter(f"--{operand} is required for {args.theorem}")
+    if operand == "right":
+        value = read_edge_list(value)
+    prod, coloring = compose(g, alpha, value, args, budget)
     write_coloring(args.out, prod.graph, coloring)
     if args.product_out:
         write_edge_list(args.product_out, prod.graph)
@@ -181,36 +190,18 @@ def _cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     t, coloring = load_coloring(args.coloring, g)
     report = verify_interval(g, coloring, t)
-    for pv in report.properness_violations:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.violation/1",
-                    "kind": "properness",
-                    "vertex": pv.vertex,
-                    "edges": [pv.first_edge, pv.second_edge],
-                    "color": pv.color,
-                }
-            )
-        )
-    for gv in report.gap_violations:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.violation/1",
-                    "kind": "gap",
-                    "vertex": gv.vertex,
-                    "colors": list(gv.colors),
-                }
-            )
-        )
-    for c in report.unused_colors:
-        print(
-            json.dumps(
-                {"schema": "gapfree.violation/1", "kind": "palette", "color": c}
-            )
-        )
-    print(json.dumps({"schema": "gapfree.verify/1", "valid": report.valid, "t": report.t}))
+    violation = "gapfree.violation/1"
+    rows = [
+        *({"schema": violation, "kind": "properness", "vertex": v.vertex,
+           "edges": [v.first_edge, v.second_edge], "color": v.color}
+          for v in report.properness_violations),
+        *({"schema": violation, "kind": "gap", "vertex": v.vertex, "colors": list(v.colors)}
+          for v in report.gap_violations),
+        *({"schema": violation, "kind": "palette", "color": c} for c in report.unused_colors),
+        {"schema": "gapfree.verify/1", "valid": report.valid, "t": report.t},
+    ]
+    for row in rows:
+        print(json.dumps(row))
     return 0 if report.valid else 1
 
 
@@ -218,43 +209,16 @@ def _cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
     budget = _budget(args)
     if args.t is not None:
-        try:
-            found = find_interval_coloring(g, args.t, budget)
-        except BudgetExceeded as exc:
-            print(f"unknown: {exc}", file=sys.stderr)
-            return 2
-        if found is None:
-            if args.json:
-                print(json.dumps({"schema": "gapfree.oracle/1", "t": args.t, "found": False}))
-            else:
-                print(f"no interval {args.t}-coloring exists")
-            return 1
-        if args.out:
+        found = find_interval_coloring(g, args.t, budget)
+        if found is not None and args.out:
             write_coloring(args.out, g, found)
-        if args.json:
-            print(json.dumps({"schema": "gapfree.oracle/1", "t": args.t, "found": True}))
-        else:
-            print(f"found an interval {args.t}-coloring")
-        return 0
+        text = (f"found an interval {args.t}-coloring" if found is not None
+                else f"no interval {args.t}-coloring exists")
+        _emit(args, "gapfree.oracle/1", {"t": args.t, "found": found is not None}, text)
+        return 1 if found is None else 0
     result = oracle(g, budget)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.oracle/1",
-                    "member": result.member,
-                    "w": result.w,
-                    "W": result.W,
-                    "nodes": result.nodes_explored,
-                    "status": result.status,
-                }
-            )
-        )
-    else:
-        print(
-            f"member={result.member} w={result.w} W={result.W}"
-            f" nodes={result.nodes_explored} status={result.status}"
-        )
+    _emit(args, "gapfree.oracle/1", {"member": result.member, "w": result.w, "W": result.W,
+                                     "nodes": result.nodes_explored, "status": result.status})
     if result.status == BUDGET_EXCEEDED:
         return 2
     return 0 if result.member else 1
@@ -267,39 +231,20 @@ def _cmd_bounds(args) -> int:
     if args.dims:
         params["dims"] = _parse_dims(args.dims)
     report = bound_report(args.theorem, **params)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.bounds/1",
-                    "source": report.source,
-                    "kind": report.kind.value if report.kind else None,
-                    "w_upper": report.w_upper,
-                    "W_lower": report.W_lower,
-                }
-            )
-        )
-    else:
-        print(f"source={report.source} w_upper={report.w_upper} W_lower={report.W_lower}")
+    kind = report.kind.value if report.kind else None
+    _emit(args, "gapfree.bounds/1",
+          {"source": report.source, "kind": kind, "w_upper": report.w_upper,
+           "W_lower": report.W_lower},
+          f"source={report.source} w_upper={report.w_upper} W_lower={report.W_lower}")
     return 0
 
 
 def _cmd_membership(args) -> int:
     dims = _parse_dims(args.dims)
     member = torus_hamming_membership(dims, args.family)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.membership/1",
-                    "family": args.family,
-                    "dims": list(dims),
-                    "member": member,
-                }
-            )
-        )
-    else:
-        print("interval colorable" if member else "not interval colorable")
+    _emit(args, "gapfree.membership/1",
+          {"family": args.family, "dims": list(dims), "member": member},
+          "interval colorable" if member else "not interval colorable")
     return 0 if member else 1
 
 
@@ -322,19 +267,8 @@ def _cmd_chi_prime(args) -> int:
     result = exact_chromatic_index(g, _budget(args))
     if args.out:
         write_coloring(args.out, g, result.witness)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "gapfree.chi-prime/1",
-                    "chi_prime": result.chi_prime,
-                    "class1": result.class1,
-                    "max_degree": g.max_degree,
-                }
-            )
-        )
-    else:
-        print(f"chi_prime={result.chi_prime} class1={result.class1} max_degree={g.max_degree}")
+    _emit(args, "gapfree.chi-prime/1", {"chi_prime": result.chi_prime, "class1": result.class1,
+                                        "max_degree": g.max_degree})
     return 0 if result.class1 else 1
 
 
@@ -368,10 +302,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("construct", help="compose an interval coloring of a product")
-    p.add_argument(
-        "--theorem", required=True,
-        choices=["t2", "t12", "t13", "t14", "t16w", "t16W", "t17"],
-    )
+    p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--left", required=True)
     p.add_argument("--left-coloring", dest="left_coloring")
     p.add_argument("--right")
@@ -446,10 +377,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 2
-    except GapfreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (GapfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
-from .colorings import EdgeColoring, verify_interval
+from .colorings import EdgeColoring, IntervalReport, verify_interval
 from .errors import (
     BadDims,
     BadN,
@@ -51,6 +51,14 @@ _K2 = build_graph(2, [(0, 1)])
 EdgeRule = Callable[[int, int, int, int], int]
 
 
+def _violation_summary(report: IntervalReport) -> str:
+    return (
+        f"{len(report.properness_violations)} properness,"
+        f" {len(report.gap_violations)} gap,"
+        f" {len(report.unused_colors)} palette violations"
+    )
+
+
 def _validated_alpha(g: Graph, alpha: EdgeColoring) -> int:
     if len(alpha.colors) != g.m:
         raise InvalidAlpha(
@@ -61,12 +69,7 @@ def _validated_alpha(g: Graph, alpha: EdgeColoring) -> int:
     t = alpha.t
     report = verify_interval(g, alpha, t)
     if not report.valid:
-        raise InvalidAlpha(
-            f"not an interval {t}-coloring"
-            f" ({len(report.properness_violations)} properness,"
-            f" {len(report.gap_violations)} gap,"
-            f" {len(report.unused_colors)} palette violations)"
-        )
+        raise InvalidAlpha(f"not an interval {t}-coloring ({_violation_summary(report)})")
     return t
 
 
@@ -139,10 +142,7 @@ def _compose(
     report = verify_interval(prod.graph, coloring, expected_t)
     if not report.valid:
         raise ConstructionFailed(
-            f"{what} produced an invalid coloring"
-            f" ({len(report.properness_violations)} properness,"
-            f" {len(report.gap_violations)} gap,"
-            f" {len(report.unused_colors)} palette violations)"
+            f"{what} produced an invalid coloring ({_violation_summary(report)})"
         )
     return prod, coloring
 

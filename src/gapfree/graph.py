@@ -67,12 +67,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"no edge {key} in graph") from None
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

@@ -34,14 +34,6 @@ class OracleResult:
     status: str = COMPLETE
 
 
-def _interval_search(g: Graph, t: int, budget: Budget) -> Optional[EdgeColoring]:
-    if t < 1 or t < g.max_degree or t > g.m:
-        # properness needs t >= max degree; using every color needs t <= |E|
-        return None
-    found = first_coloring(g, bfs_edge_order(g), t, budget, interval=True)
-    return EdgeColoring(found) if found is not None else None
-
-
 def find_interval_coloring(
     g: Graph, t: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[EdgeColoring]:
@@ -49,7 +41,11 @@ def find_interval_coloring(
 
     Raises BudgetExceeded when the search gives up, so None is always a proof.
     """
-    return _interval_search(g, t, Budget(budget))
+    if t < 1 or t < g.max_degree or t > g.m:
+        # properness needs t >= max degree; using every color needs t <= |E|
+        return None
+    found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True)
+    return EdgeColoring(found) if found is not None else None
 
 
 def search_ceiling(g: Graph) -> int:
@@ -69,42 +65,30 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     if g.m == 0:
         return OracleResult(member=False, w=None, W=None)
     tracker = Budget(budget)
-    delta = g.max_degree
-    ceiling = search_ceiling(g)
+    order = bfs_edge_order(g)
     regular = len(set(g.degrees)) == 1
-    feasible: list[int] = []
     witnesses: dict[int, EdgeColoring] = {}
+    status = COMPLETE
     try:
-        for t in range(delta, ceiling + 1):
-            found = _interval_search(g, t, tracker)
+        # t runs from the max degree up to at most |E|, so none of
+        # find_interval_coloring's early exits applies
+        for t in range(g.max_degree, search_ceiling(g) + 1):
+            found = first_coloring(g, order, t, tracker, interval=True)
             if found is not None:
-                feasible.append(t)
-                witnesses[t] = found
+                witnesses[t] = EdgeColoring(found)
             elif regular:
                 break
     except BudgetExceeded:
         # every t below the interrupted probe completed, so a found minimum
         # is the true least value; the rest stays unknown
-        return OracleResult(
-            member=True if feasible else None,
-            w=feasible[0] if feasible else None,
-            W=None,
-            witnesses=witnesses,
-            nodes_explored=tracker.used,
-            status=BUDGET_EXCEEDED,
-        )
-    if feasible:
-        return OracleResult(
-            member=True,
-            w=feasible[0],
-            W=feasible[-1],
-            witnesses=witnesses,
-            nodes_explored=tracker.used,
-            status=COMPLETE,
-        )
+        status = BUDGET_EXCEEDED
     return OracleResult(
-        member=False, w=None, W=None, witnesses={},
-        nodes_explored=tracker.used, status=COMPLETE,
+        member=True if witnesses else (False if status == COMPLETE else None),
+        w=min(witnesses, default=None),
+        W=max(witnesses, default=None) if status == COMPLETE else None,
+        witnesses=witnesses,
+        nodes_explored=tracker.used,
+        status=status,
     )
 
 

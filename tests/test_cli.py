@@ -427,3 +427,279 @@ def test_construct_output_pin_multi_digit(tmp_path, capsys, theorem, summary, wa
         for path in (col, graph, tmp_path / "s.g.prov")
     ]
     assert digests == want
+
+
+# The whole CLI surface, one invocation per row, run in order in one directory
+# so later rows read the files earlier rows wrote. Each row pins the exit code
+# and the sha256 (first 16 hex digits) of stdout, of stderr ("" when empty) and
+# of every file the invocation created or changed. A leading NAME=value token
+# sets an environment variable for that row only. Recorded before the result
+# printing was folded into one helper.
+TRANSCRIPT_INPUTS = {
+    "bad.g": "2 1\n0 z\n",
+    "bad.col": "t=q\n0 0 1 1\n",
+    # P4 edges coloured 1, 1, 3 under t=5: a repeated colour at vertex 1, the
+    # gap {1, 3} at vertex 2, and colours 2, 4, 5 unused
+    "viol.col": "t=5\n0 0 1 1\n1 1 2 1\n2 2 3 3\n",
+}
+
+TRANSCRIPT = [
+    ('gen --family P --n 4 --out p4.g', 0, '0a6020e517e920b2', '',
+     {'p4.g': '4e79e0ded6808ee2'}),
+    ('gen --family P --n 3 --out p3.g', 0, 'efc3a13c572082bf', '',
+     {'p3.g': 'de1c2550646acf29'}),
+    ('gen --family C --n 4 --out c4.g', 0, '8e2c6d32987cb8ad', '',
+     {'c4.g': 'e1720ca3c36618f0'}),
+    ('gen --family C --n 3 --out c3.g', 0, 'fe83a524d84a578d', '',
+     {'c3.g': '7c0343f77a3c54a7'}),
+    ('gen --family C --n 5 --out c5.g', 0, 'f15257df5ef389b2', '',
+     {'c5.g': '4a66125c2bb3dbfa'}),
+    ('gen --family K --n 2 --out k2.g', 0, '14e2d26ded9520fe', '',
+     {'k2.g': '4a6ae7226283a4b6'}),
+    ('gen --family K --n 4 --out k4.g', 0, 'cc393b5fdf59fa04', '',
+     {'k4.g': '9c3528d98663acb8'}),
+    ('gen --family grid --dims 3,3 --out grid33.g', 0, '749738d41f4f0514', '',
+     {'grid33.g': '7910b832ee375203'}),
+    ('gen --family petersen --out pet.g', 0, '5e37dbeb0601635d', '',
+     {'pet.g': '223b9bae4baa1733'}),
+    ('gen --family k13e --out k13e.g', 0, '8e2c6d32987cb8ad', '',
+     {'k13e.g': 'f169dd2b86f8a54b'}),
+    ('gen --family kmn --m 3 --n 3 --out k33.g', 0, '5f304aad459fb71d', '',
+     {'k33.g': '293f3e7299792f75'}),
+    ('gen --family nK1 --n 3 --out e3.g', 0, 'e21eaedd1e175c3e', '',
+     {'e3.g': 'f447e635ef60d86f'}),
+    ('gen --family C --n 2 --out c2.g', 3, '', '5a588648dc0985ba',
+     {}),
+    ('gen --family nope --n 3 --out x.g', 3, '', '1b2dff9ee6d73655',
+     {}),
+    ('gen --family grid --dims 3,x --out x.g', 3, '', 'fa3bee41cc16557c',
+     {}),
+    ('gen --out x.g', 3, '', '5941dc1bf8f823d7',
+     {}),
+    ('product --kind cartesian --left p3.g --right c4.g --out cart.g', 0, '638e54a45f3befd3', '',
+     {'cart.g': 'b75f072d2e624d54', 'cart.g.prov': 'f6ea3b9d96b0c0de'}),
+    ('product --kind tensor --left p3.g --right c4.g --out tens.g', 0, '84968db70c5f292c', '',
+     {'tens.g': '78e836c11bc93a49', 'tens.g.prov': '9892dac77849a03c'}),
+    ('product --kind strong-tensor --left p3.g --right c4.g --out stens.g', 0, '6fecd9790c5feb28', '',
+     {'stens.g': '89efcec8db3377df', 'stens.g.prov': 'a4fb6b4330f886ce'}),
+    ('product --kind strong --left p3.g --right c4.g --out strong.g --provenance strong.side', 0, 'f0cba9413a2aceb9', '',
+     {'strong.g': '2a9ed7ea706c7c02', 'strong.side': '11610b4582039716'}),
+    ('product --kind lex --left p3.g --right c4.g --out lex.g', 0, '9b138090ec254361', '',
+     {'lex.g': 'cceee9a57035b7a9', 'lex.g.prov': '8674b46c2861061a'}),
+    ('product --kind diagonal --left p3.g --right c4.g --out x.g', 3, '', '4453a81557bb0d11',
+     {}),
+    ('product --kind tensor --left p3.g --right missing.g --out x.g', 3, '', '9f7e8fb8245adae0',
+     {}),
+    ('oracle p4.g', 0, '22df7319e012cf74', '',
+     {}),
+    ('oracle p4.g --json', 0, '3c3ff22fefcd1344', '',
+     {}),
+    ('oracle k4.g --json', 0, 'f4415f1edfee9e67', '',
+     {}),
+    ('oracle c3.g', 1, '506d2a88b9aef0c4', '',
+     {}),
+    ('oracle c3.g --json', 1, '5595cbf68131e386', '',
+     {}),
+    ('oracle e3.g', 1, 'c46914a7c5b2b161', '',
+     {}),
+    ('oracle e3.g --json', 1, 'fe117455802f4a47', '',
+     {}),
+    ('oracle k13e.g --t 3 --out a3.col', 0, 'e9b546c0838df6b8', '',
+     {'a3.col': 'dcbe07f015b3bc7b'}),
+    ('oracle k13e.g --t 3 --json', 0, 'dfd8387adb68bbc9', '',
+     {}),
+    ('oracle c4.g --t 2 --out c4.col', 0, '6ab5b4ab4b6c5c9a', '',
+     {'c4.col': '1f75ad9e6e7bbd8c'}),
+    ('oracle c3.g --t 2', 1, '4a94b3730eeab731', '',
+     {}),
+    ('oracle c3.g --t 2 --json', 1, '9ae15dd0ca25ba34', '',
+     {}),
+    ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
+     {}),
+    ('oracle grid33.g', 0, '423710e4a282bd7a', '',
+     {}),
+    ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
+     {}),
+    ('oracle grid33.g --budget 10 --json', 2, 'a23296b89063e156', '',
+     {}),
+    ('oracle grid33.g --t 4 --budget 3', 2, '', 'fefc67fbca066a5c',
+     {}),
+    ('oracle grid33.g --t 4 --budget 3 --json', 2, '', 'fefc67fbca066a5c',
+     {}),
+    ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
+     {}),
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '423710e4a282bd7a', '',
+     {}),
+    ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
+     {}),
+    ('oracle k2.g --budget -5', 3, '', '9964958b8650bce9',
+     {}),
+    ('oracle missing.g', 3, '', '9f7e8fb8245adae0',
+     {}),
+    ('oracle bad.g', 3, '', '8df7bfbb58a19813',
+     {}),
+    ('construct --theorem t2 --left p3.g --right c4.g --out t2.col --product-out t2.g', 0, '594573e7f2e3c3bd', '',
+     {'t2.col': '43dcbc2310fa4cd5', 't2.g': 'b75f072d2e624d54', 't2.g.prov': 'f6ea3b9d96b0c0de'}),
+    ('construct --theorem t2 --left p3.g --right c4.g --right-coloring c4.col --out t2b.col', 0, '594573e7f2e3c3bd', '',
+     {'t2b.col': '43dcbc2310fa4cd5'}),
+    ('construct --theorem t12 --left p3.g --right c4.g --out t12.col --product-out t12.g', 0, 'a68c62aca08bbb92', '',
+     {'t12.col': 'a5b89166fcd1ea34', 't12.g': '78e836c11bc93a49', 't12.g.prov': '9892dac77849a03c'}),
+    ('construct --theorem t13 --left p3.g --right c4.g --out t13.col --product-out t13.g', 0, 'd21d6dc93fc47142', '',
+     {'t13.col': 'efc8b0e50f10e641', 't13.g': '89efcec8db3377df', 't13.g.prov': 'a4fb6b4330f886ce'}),
+    ('construct --theorem t14 --left p3.g --right c4.g --out t14.col --product-out t14.g', 0, '718a049a6c6bade1', '',
+     {'t14.col': '308246ff723ddb49', 't14.g': '2a9ed7ea706c7c02', 't14.g.prov': '11610b4582039716'}),
+    ('construct --theorem t16w --left k13e.g --left-coloring a3.col --n 2 --out t16w.col --product-out t16w.g', 0, '1721af7ae867d24b', '',
+     {'t16w.col': 'f9a5740e06f8b474', 't16w.g': '76407c5d54cf7cb8', 't16w.g.prov': '4d66ad23c975dc25'}),
+    ('construct --theorem t16W --left p3.g --n 2 --out t16W.col --product-out t16W.g', 0, '9a2d424614ba6421', '',
+     {'t16W.col': 'c6429c6daa0c49e7', 't16W.g': '9d25c4396afbb938', 't16W.g.prov': '3c1ffcae27fafb0e'}),
+    ('construct --theorem t17 --left p3.g --right c4.g --out t17.col --product-out t17.g', 0, '8f16e595928bafb6', '',
+     {'t17.col': '7d0ef9eefdf20c65', 't17.g': 'cceee9a57035b7a9', 't17.g.prov': '8674b46c2861061a'}),
+    ('construct --theorem t12 --left p3.g --right c4.g --out t12b.col', 0, 'a68c62aca08bbb92', '',
+     {'t12b.col': 'a5b89166fcd1ea34'}),
+    ('construct --theorem t16w --left k2.g --out o.col', 3, '', 'd37b2b0c42e44f38',
+     {}),
+    ('construct --theorem t12 --left k2.g --out o.col', 3, '', '2fd787a6575b2d41',
+     {}),
+    ('construct --theorem t12 --left c5.g --right k2.g --out o.col', 3, '', '9d37437287826065',
+     {}),
+    ('construct --theorem t12 --left grid33.g --right c4.g --out o.col --budget 10', 2, '', '0ea1c60da0e6cf31',
+     {}),
+    ('construct --theorem t14 --left p3.g --right c3.g --out o.col', 3, '', '307c108ba560afd8',
+     {}),
+    ('construct --theorem t12 --left p3.g --right p3.g --out o.col', 3, '', '95c72f12701d1987',
+     {}),
+    ('construct --theorem t16w --left p3.g --n 0 --out o.col', 3, '', '82aa1046d620541f',
+     {}),
+    ('construct --theorem t99 --left p3.g --out o.col', 3, '', '9e992be4aeeab344',
+     {}),
+    ('verify t12.g t12.col', 0, '55a4d9ae2b7947cf', '',
+     {}),
+    ('verify t16w.g t16w.col', 0, '9a112fc75b3611d7', '',
+     {}),
+    ('verify p4.g viol.col', 3, '', 'e24542447573c5aa',
+     {}),
+    ('verify k2.g missing.col', 3, '', '0388c306bc4c541f',
+     {}),
+    ('verify k2.g bad.col', 3, '', 'ca1d37da1e370404',
+     {}),
+    ('verify bad.g t12.col', 3, '', '8df7bfbb58a19813',
+     {}),
+    ('export-dot c4.g c4.col --out c4.dot', 0, '', '',
+     {'c4.dot': 'a21bd3e5fc1c80f6'}),
+    ('export-dot c4.g', 0, '237ccf8fe405f624', '',
+     {}),
+    ('export-dot c4.g c4.col --out -', 0, 'a21bd3e5fc1c80f6', '',
+     {}),
+    ('chi-prime pet.g', 1, '2ec313618bfb906d', '',
+     {}),
+    ('chi-prime pet.g --json', 1, 'e3a40e7893068f9f', '',
+     {}),
+    ('chi-prime c4.g --out c4chi.col', 0, '950e59fc741f6b57', '',
+     {'c4chi.col': '1f75ad9e6e7bbd8c'}),
+    ('chi-prime c4.g --json', 0, 'bc87d536f4922b10', '',
+     {}),
+    ('chi-prime e3.g', 0, '8373903de886a27f', '',
+     {}),
+    ('chi-prime pet.g --budget 10', 2, '', '0e0d2e5537811417',
+     {}),
+    ('bipartite-color k33.g --out k33.col', 0, 'd000a916b9206b0e', '',
+     {'k33.col': '05af3296957fea88'}),
+    ('bipartite-color c3.g', 3, '', '53482e2d8f69c2d2',
+     {}),
+    ('bipartite-color p3.g', 3, '', '6aa725a52c4f77cd',
+     {}),
+    ('bounds --theorem t2 --params w_g=2,W_g=3,w_h=2,W_h=2', 0, '7b718d3ca995467d', '',
+     {}),
+    ('bounds --theorem t12 --params w_g=2,W_g=3,r=2 --json', 0, 'acf5bccb74c18eab', '',
+     {}),
+    ('bounds --theorem t13 --params w_g=2,W_g=3,r=2 --json', 0, '0e506a03ab4da84a', '',
+     {}),
+    ('bounds --theorem t14 --params w_g=2,W_g=3,r=2', 0, 'b304d5024f6cfc05', '',
+     {}),
+    ('bounds --theorem t16 --params w_g=2,W_g=3,n=2', 0, '9bf6bdaa41b5e650', '',
+     {}),
+    ('bounds --theorem t17 --params w_g=2,W_g=3,r=2,n=3 --json', 0, 'f8c9ae8174cb2797', '',
+     {}),
+    ('bounds --theorem t3 --family cylinder --dims 2,4', 0, 'f09093db944c5293', '',
+     {}),
+    ('bounds --theorem t3 --family grid --dims 3,3 --json', 0, 'd9c983b6d8bed457', '',
+     {}),
+    ('bounds --theorem t4 --params m=2,n=3', 0, '23d6a6311503e68c', '',
+     {}),
+    ('bounds --theorem t5 --params m=2,n=2 --json', 0, '546021057eb57261', '',
+     {}),
+    ('bounds --theorem t6 --params n=3', 0, 'a619567dfb3708d4', '',
+     {}),
+    ('bounds --theorem t7 --params n=2 --json', 0, '42d5cc6f7040e320', '',
+     {}),
+    ('bounds --theorem t8 --params n=2,k=2', 0, '24e3d58a7235b985', '',
+     {}),
+    ('bounds --theorem t7 --json', 3, '', 'dca4a9744c5d4a81',
+     {}),
+    ('bounds --theorem t99', 3, '', 'd6f53d62e41fb966',
+     {}),
+    ('bounds --theorem t7 --params n=x', 3, '', 'feffa342edf7ef5b',
+     {}),
+    ('bounds --theorem t7 --params n', 3, '', 'fd118ee983ff011f',
+     {}),
+    ('membership --family torus --dims 3,3', 1, '7a8423280d78503b', '',
+     {}),
+    ('membership --family torus --dims 3,3 --json', 1, 'b46d36d3d181af65', '',
+     {}),
+    ('membership --family torus --dims 2,4 --json', 0, 'a615b52dce427aec', '',
+     {}),
+    ('membership --family hamming --dims 2,2,3 --json', 0, '5e920972cf1737ed', '',
+     {}),
+    ('membership --family hamming --dims 3,3', 1, '7a8423280d78503b', '',
+     {}),
+    ('membership --family torus --dims 3', 3, '', '5319d8f6a88c57ba',
+     {}),
+    ('--help', 0, 'c505f4e9d595836e', '',
+     {}),
+    ('construct --help', 0, '6538c5f27458d67e', '',
+     {}),
+    ('oracle --help', 0, '1a0239febaf0678f', '',
+     {}),
+    ('nope', 3, '', '8ff35796ecd85152',
+     {}),
+]
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16] if data else ""
+
+
+def _transcript_row(root, capsys, monkeypatch, line):
+    """Run one transcript line; returns (exit, stdout, stderr, written files)."""
+    tokens = line.split()
+    env = {}
+    while "=" in tokens[0] and not tokens[0].startswith("-"):
+        name, value = tokens.pop(0).split("=", 1)
+        env[name] = value
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = run(tokens)
+    finally:
+        for name in env:
+            monkeypatch.delenv(name)
+    out, err = capsys.readouterr()
+    written = {
+        p.name: _sha16(p.read_bytes())
+        for p in sorted(root.iterdir())
+        if before.get(p.name) != p.read_bytes()
+    }
+    return code, _sha16(out.encode()), _sha16(err.encode()), written
+
+
+def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    monkeypatch.delenv("INTERVAL_BUDGET", raising=False)
+    for name, text in TRANSCRIPT_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    for line, *want in TRANSCRIPT:
+        got = _transcript_row(tmp_path, capsys, monkeypatch, line)
+        assert list(got) == want, line
