@@ -21,7 +21,7 @@ from .search import first_coloring
 _INF = float("inf")
 
 
-def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
+def _hopcroft_karp(left: list[int], adj: dict[int, dict[int, int]]) -> dict[int, int]:
     """Maximum matching on a bipartite graph, deterministic for equal inputs."""
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
@@ -95,16 +95,16 @@ def bipartite_regular_coloring(g: Graph) -> EdgeColoring:
         raise NotBipartite("graph contains an odd cycle")
     r = profile.regularity
     left = [v for v in range(g.n) if sides[v] == 0]
-    adj = {u: [w for w in g.adjacency[u]] for u in left}
+    # neighbour -> edge id; a matched edge is popped, and the keys keep the
+    # ascending-neighbour order in which _hopcroft_karp tries them
+    adj = {u: dict(zip(g.adjacency[u], g.incident[u])) for u in left}
     colors = [0] * g.m
     for k in range(1, r + 1):
         matching = _hopcroft_karp(left, adj)
         if len(matching) != len(left):
             raise AssertionError("perfect matching missing in a regular bipartite graph")
         for u in left:
-            w = matching[u]
-            colors[g.edge_id(u, w)] = k
-            adj[u].remove(w)
+            colors[adj[u].pop(matching[u])] = k
     return EdgeColoring(tuple(colors))
 
 

@@ -1,4 +1,4 @@
-"""Edge colorings, vertex spectra, and the interval-coloring verifier.
+"""Edge colorings and the interval-coloring verifier.
 
 An interval t-coloring is a proper edge coloring with colors 1..t in which
 every color is used at least once and the colors incident to each vertex form
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, count, islice
 from operator import ne
-from typing import Optional
 
 from .errors import BadParameter
 from .graph import Graph, data_lines
@@ -37,25 +36,6 @@ class EdgeColoring:
     def t(self) -> int:
         """Number of distinct colors used."""
         return len(self.palette)
-
-    def __getitem__(self, edge_id: int) -> int:
-        return self.colors[edge_id]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Distinct colors on the edges incident to one vertex."""
-
-    vertex: int
-    colors: tuple[int, ...]
-    lo: Optional[int]
-    hi: Optional[int]
-
-    @property
-    def is_interval(self) -> bool:
-        if not self.colors:
-            return True
-        return self.hi - self.lo + 1 == len(self.colors)
 
 
 @dataclass(frozen=True)
@@ -93,17 +73,6 @@ def _check_total(g: Graph, coloring: EdgeColoring) -> None:
         raise ValueError(
             f"coloring has {len(coloring.colors)} entries for a graph with {g.m} edges"
         )
-
-
-def spectrum(g: Graph, coloring: EdgeColoring, v: int) -> Spectrum:
-    """Distinct sorted colors incident to v."""
-    _check_total(g, coloring)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    cols = tuple(sorted({coloring.colors[e] for e in g.incident[v]}))
-    if cols:
-        return Spectrum(v, cols, cols[0], cols[-1])
-    return Spectrum(v, cols, None, None)
 
 
 def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
@@ -152,19 +121,11 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
     )
 
 
-def shift(coloring: EdgeColoring, offset: int) -> EdgeColoring:
-    """Add a nonnegative offset to every color; preserves properness and gaps."""
-    if offset < 0:
-        raise BadParameter(f"shift offset must be >= 0, got {offset}")
-    return EdgeColoring(tuple(c + offset for c in coloring.colors))
-
-
-def write_coloring(path, g: Graph, coloring: EdgeColoring, t: Optional[int] = None) -> None:
+def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
     """Coloring file: "t=<K>" header, then one "edge_id u v color" line per edge."""
     _check_total(g, coloring)
-    declared = coloring.t if t is None else t
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"t={declared}\n")
+        fh.write(f"t={coloring.t}\n")
         for k, (u, v) in enumerate(g.edges):
             fh.write(f"{k} {u} {v} {coloring.colors[k]}\n")
 

@@ -25,10 +25,6 @@ class EmptyFactor(GapfreeError):
     """A product factor has no vertices."""
 
 
-class OutOfRange(GapfreeError):
-    """A vertex index or coordinate pair is outside a product's grid."""
-
-
 class NotBipartite(GapfreeError):
     """The operation requires a bipartite graph."""
 

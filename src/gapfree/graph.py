@@ -19,7 +19,8 @@ from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; use build_graph() to construct one safely."""
+    """Simple undirected graph whose edges are sorted canonical pairs, which
+    incident and the searches rely on; build_graph() makes one from any list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -38,7 +39,8 @@ class Graph:
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids incident to each vertex."""
+        """Edge ids incident to each vertex, parallel to adjacency: the edges are
+        sorted canonical pairs, so each vertex's ids come in neighbour order."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
         for k, (u, v) in enumerate(self.edges):
             inc[u].append(k)
@@ -52,20 +54,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
-
-    @cached_property
-    def _edge_ids(self) -> dict[tuple[int, int], int]:
-        return {e: k for k, e in enumerate(self.edges)}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_ids
-
-    def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_ids[key]
-        except KeyError:
-            raise KeyError(f"no edge {key} in graph") from None
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,7 @@ def bfs_edge_order(g: Graph) -> tuple[int, ...]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.adjacency[u]:
-                e = g.edge_id(u, w)
+            for w, e in zip(g.adjacency[u], g.incident[u]):
                 if not listed[e]:
                     listed[e] = True
                     order.append(e)

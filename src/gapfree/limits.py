@@ -10,11 +10,11 @@ DEFAULT_BUDGET = 10_000_000
 class Budget:
     """Mutable counter; spend() raises BudgetExceeded once the limit is passed."""
 
-    def __init__(self, limit: int = DEFAULT_BUDGET):
+    def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self, amount: int) -> None:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import BadParameter, EmptyFactor, OutOfRange
+from .errors import BadParameter, EmptyFactor
 from .graph import Graph, data_lines
 
 
@@ -56,16 +56,6 @@ class ProductGraph:
             h_layer if u // m == v // m else g_layer if (v - u) % m == 0 else cross
             for u, v in self.graph.edges
         )
-
-    def coord_of(self, vertex: int) -> tuple[int, int]:
-        if not 0 <= vertex < self.graph.n:
-            raise OutOfRange(f"vertex {vertex} outside 0..{self.graph.n - 1}")
-        return self.coords[vertex]
-
-    def vertex_of(self, i: int, j: int) -> int:
-        if not (0 <= i < self.left_n and 0 <= j < self.right_n):
-            raise OutOfRange(f"pair ({i},{j}) outside {self.left_n}x{self.right_n}")
-        return i * self.right_n + j
 
 
 def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:

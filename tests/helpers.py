@@ -143,6 +143,11 @@ def collect_matrix() -> list[dict]:
     return entries
 
 
+def spectrum(g: gf.Graph, coloring: gf.EdgeColoring, v: int) -> tuple[int, ...]:
+    """Distinct colors on the edges at v, ascending."""
+    return tuple(sorted({coloring.colors[e] for e in g.incident[v]}))
+
+
 def _naive_exists(g: gf.Graph, t: int) -> bool:
     """Generate-and-filter: enumerate proper colorings (edge id order, colors
     descending), keep one iff it is an interval t-coloring."""

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -703,3 +706,20 @@ def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):
     for line, *want in TRANSCRIPT:
         got = _transcript_row(tmp_path, capsys, monkeypatch, line)
         assert list(got) == want, line
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # the fenced block under "## CLI", run line by line in an empty directory;
+    # a line's exit code is its "# exit N" comment, 0 without one
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("INTERVAL_BUDGET", raising=False)
+    commands = block.replace("\\\n", "").splitlines()
+    assert len(commands) >= 10
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "gapfree", line
+        exit_note = re.search(r"# exit (\d+)", line)
+        want = int(exit_note.group(1)) if exit_note else 0
+        assert run(argv[1:]) == want, (line, capsys.readouterr().err)

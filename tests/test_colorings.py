@@ -10,33 +10,6 @@ from gapfree.errors import BadParameter
 from helpers import P4_ALPHA_3, SEED, named
 
 
-def test_spectrum_k2():
-    g = named("K", 2)
-    spec = gf.spectrum(g, gf.EdgeColoring((1,)), 0)
-    assert spec.colors == (1,) and spec.is_interval
-
-
-def test_spectrum_k13e_witness():
-    g = named("k13e")
-    alpha = gf.EdgeColoring((1, 3, 2, 2))
-    spec = gf.spectrum(g, alpha, 0)
-    assert spec.colors == (1, 2, 3)
-    assert spec.is_interval
-
-
-def test_spectrum_star_gap():
-    star = gf.build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    spec = gf.spectrum(star, gf.EdgeColoring((1, 2, 4)), 0)
-    assert spec.colors == (1, 2, 4)
-    assert not spec.is_interval
-
-
-def test_spectrum_isolated_vertex():
-    g = gf.build_graph(3, [(0, 1)])
-    spec = gf.spectrum(g, gf.EdgeColoring((1,)), 2)
-    assert spec.colors == () and spec.lo is None and spec.is_interval
-
-
 def test_verify_c4_alternating():
     c4 = named("C", 4)
     coloring = gf.bipartite_regular_coloring(c4)
@@ -87,14 +60,6 @@ def test_properness_violations_all_reported():
     assert not report.valid
 
 
-def test_shift_examples():
-    c = gf.EdgeColoring((1, 2))
-    assert gf.shift(c, 3).colors == (4, 5)
-    assert gf.shift(c, 0) == c
-    with pytest.raises(BadParameter):
-        gf.shift(c, -1)
-
-
 def _random_graph(rng, n, p=0.4):
     return gf.build_graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
@@ -110,7 +75,8 @@ def test_shift_preserves_properness_and_gap_verdicts():
         t = rng.randint(1, 5)
         coloring = gf.EdgeColoring(tuple(rng.randint(1, t) for _ in range(g.m)))
         before = gf.verify_interval(g, coloring, t)
-        after = gf.verify_interval(g, gf.shift(coloring, 3), t + 3)
+        shifted = gf.EdgeColoring(tuple(c + 3 for c in coloring.colors))
+        after = gf.verify_interval(g, shifted, t + 3)
         assert [
             (pv.vertex, pv.first_edge, pv.second_edge, pv.color + 3)
             for pv in before.properness_violations
@@ -186,7 +152,7 @@ def test_coloring_file_roundtrip(tmp_path):
     t, loaded = gf.load_coloring(path, g)
     assert t == 3 and loaded == coloring
     path2 = tmp_path / "b.col"
-    gf.write_coloring(path2, g, loaded, t)
+    gf.write_coloring(path2, g, loaded)
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -7,7 +7,7 @@ import gapfree as gf
 from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
 
-from helpers import SEED, naive_oracle, named, oracle_cached
+from helpers import SEED, naive_oracle, named, oracle_cached, spectrum
 
 
 def test_find_c3_cases():
@@ -265,3 +265,25 @@ def test_cli_long_path_probe(tmp_path, capsys):
     t, coloring = gf.load_coloring(out, g)
     assert t == 2 and gf.verify_interval(g, coloring, 2).valid
     capsys.readouterr()
+
+
+def test_tensor_of_two_non_members_is_a_member():
+    # K3 and H (K_{2,3} plus one edge inside its 3-side) admit no interval
+    # coloring, yet their tensor product has an interval 8-coloring
+    k3 = named("K", 3)
+    h = gf.build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+    for factor in (k3, h):
+        result = gf.oracle(factor)
+        assert (result.member, result.status) == (False, "complete")
+    g = gf.product(gf.ProductKind.TENSOR, k3, h).graph
+    assert (g.n, g.m) == (15, 42)
+    witness = gf.find_interval_coloring(g, 8, 20_000)
+    assert gf.verify_interval(g, witness, 8).valid
+    # again without the verifier: per vertex, distinct contiguous colors, one
+    # per incident edge; over the graph, exactly the colors 1..8
+    for v in range(g.n):
+        at_v = [witness.colors[e] for e in g.incident[v]]
+        spec = spectrum(g, witness, v)
+        assert len(spec) == len(at_v) == g.degrees[v]
+        assert spec == tuple(range(spec[0], spec[0] + len(spec)))
+    assert set(witness.colors) == set(range(1, 9))
