@@ -11,6 +11,7 @@ environment variable overrides the default search budget.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -383,6 +384,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a CLI process builds many int tuples and no reference cycles worth
+    # collecting, so the cyclic collector only costs time; callers of run()
+    # in their own process keep theirs
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

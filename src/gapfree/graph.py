@@ -20,7 +20,8 @@ from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph whose edges are sorted canonical pairs, which
-    incident and the searches rely on; build_graph() makes one from any list."""
+    incident and the searches rely on (incident rejects any other order);
+    build_graph() makes one from any list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -40,11 +41,23 @@ class Graph:
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids incident to each vertex, parallel to adjacency: the edges are
-        sorted canonical pairs, so each vertex's ids come in neighbour order."""
+        sorted canonical pairs, so each vertex's ids come in neighbour order.
+
+        Raises ValueError if they are not: the readers that rely on the order
+        go through here, so this loop checks it once per graph.
+        """
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for k, (u, v) in enumerate(self.edges):
+        prev = (0, 0)
+        for k, e in enumerate(self.edges):
+            u, v = e
+            if not (prev < e and u < v):
+                raise ValueError(
+                    f"edge {k} {e}: Graph needs strictly increasing (u, v) "
+                    "pairs with u < v; build_graph() makes them"
+                )
             inc[u].append(k)
             inc[v].append(k)
+            prev = e
         return tuple(tuple(e) for e in inc)
 
     @cached_property

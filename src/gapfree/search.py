@@ -20,8 +20,16 @@ def first_coloring(
     `interval` the coloring must be an interval k-coloring: a branch is cut
     when an endpoint's colors can no longer extend to a degree-length interval
     inside [1, k], or when too few edges remain to use every color not used
-    yet. Otherwise it must be proper, with new colors in first-use order and
-    at most n//2 edges (a matching) per color.
+    yet; and the first edge of `order` tries only colors 1..(k+1)//2. That
+    last cut is color reflection, c -> k+1-c, which maps the interval
+    k-colorings onto each other: every first color above (k+1)//2 mirrors one
+    at or below it, so the cut loses no coloring. The first coloring in
+    ascending order has the least first color, so it is never cut either: a
+    search that finds one walks the same tree and returns the same coloring,
+    and only a search that proves absence visits fewer nodes. Otherwise the
+    coloring must be proper, with new colors in first-use order (which breaks
+    every color permutation already) and at most n//2 edges (a matching) per
+    color.
 
     Color c is bit c-1 of the masks kept per vertex (its colors) and per depth
     (colors used above it, candidates left). Each node visited, the final leaf
@@ -38,6 +46,7 @@ def first_coloring(
     cap = g.n // 2
     count = [0] * (k + 1)  # class sizes, proper search only
     full = 0  # classes holding cap edges, proper search only
+    half = (k + 1) // 2  # reflection cut: the first edge's colors, interval search
     left = budget.limit - budget.used
     nodes = pos = 0
     while True:
@@ -52,7 +61,7 @@ def first_coloring(
         pal = palette[pos]
         if interval:
             lo = 1
-            hi = k
+            hi = k if pos else half
             if x:
                 b = x.bit_length() - deg[u] + 1
                 if b > lo:

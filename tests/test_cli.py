@@ -1,13 +1,15 @@
+import gc
 import hashlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import gapfree as gf
-from gapfree.cli import run
+from gapfree.cli import main, run
 
 
 def lines(capsys):
@@ -26,6 +28,18 @@ def test_gen_product_pipeline(tmp_path, capsys):
     ]) == 0
     assert out.read_text().splitlines()[0] == "20 30"
     assert (tmp_path / "t.g.prov").exists()
+    capsys.readouterr()
+
+
+def test_only_the_cli_process_turns_off_the_cyclic_gc(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    argv = ["bounds", "--theorem", "t7", "--params", "n=2"]
+    assert run(argv) == 0 and calls == []
+    monkeypatch.setattr(sys, "argv", ["gapfree", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0 and calls == ["disable"]
     capsys.readouterr()
 
 
@@ -437,7 +451,8 @@ def test_construct_output_pin_multi_digit(tmp_path, capsys, theorem, summary, wa
 # and the sha256 (first 16 hex digits) of stdout, of stderr ("" when empty) and
 # of every file the invocation created or changed. A leading NAME=value token
 # sets an environment variable for that row only. Recorded before the result
-# printing was folded into one helper.
+# printing was folded into one helper; the rows whose stdout prints an oracle
+# node count were re-recorded after the interval search's reflection cut.
 TRANSCRIPT_INPUTS = {
     "bad.g": "2 1\n0 z\n",
     "bad.col": "t=q\n0 0 1 1\n",
@@ -499,9 +514,9 @@ TRANSCRIPT = [
      {}),
     ('oracle k4.g --json', 0, 'f4415f1edfee9e67', '',
      {}),
-    ('oracle c3.g', 1, '506d2a88b9aef0c4', '',
+    ('oracle c3.g', 1, 'be900e25976a8d4d', '',
      {}),
-    ('oracle c3.g --json', 1, '5595cbf68131e386', '',
+    ('oracle c3.g --json', 1, 'eb32a36a61508bea', '',
      {}),
     ('oracle e3.g', 1, 'c46914a7c5b2b161', '',
      {}),
@@ -519,7 +534,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, '423710e4a282bd7a', '',
+    ('oracle grid33.g', 0, 'f834b5bfd69d618e', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -531,7 +546,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '423710e4a282bd7a', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'f834b5bfd69d618e', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),

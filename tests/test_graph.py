@@ -52,6 +52,21 @@ def test_vertex_out_of_range():
         gf.build_graph(3, [(-1, 2)])
 
 
+def test_hand_built_graph_needs_canonical_edge_order():
+    # unsorted edges would pair adjacency with the wrong edge ids: the matching
+    # peel once returned the invalid (2, 1, 1, 2) for this C4
+    unsorted = gf.Graph(4, ((2, 3), (0, 1), (1, 2), (0, 3)))
+    with pytest.raises(ValueError):
+        gf.bipartite_regular_coloring(unsorted)
+    with pytest.raises(ValueError):
+        gf.Graph(3, ((0, 1), (2, 1))).incident  # a swapped pair
+    with pytest.raises(ValueError):
+        gf.Graph(3, ((0, 1), (0, 1))).incident  # a repeated pair
+    fixed = gf.build_graph(4, unsorted.edges)
+    coloring = gf.bipartite_regular_coloring(fixed)
+    assert gf.verify_interval(fixed, coloring, 2).valid
+
+
 def test_path_generator():
     p4 = named("P", 4)
     assert (p4.n, p4.m, p4.max_degree) == (4, 3, 2)

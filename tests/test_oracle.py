@@ -103,6 +103,23 @@ def test_naive_agreement_on_small_graphs():
         assert (result.member, result.w, result.W) == naive_oracle(g), g
 
 
+def test_naive_agreement_on_atlas():
+    # every non-empty atlas graph (at most 7 vertices) with at most 6 edges:
+    # the pruned search, with its ceiling, regular early exit and reflection
+    # cut, against a reference that has none of them
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for a in nx.graph_atlas_g():
+        if not 0 < a.number_of_edges() <= 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        result = gf.oracle(g)
+        assert result.status == "complete"
+        assert (result.member, result.w, result.W) == naive_oracle(g), g
+        checked += 1
+    assert checked == 172
+
+
 def test_regular_contiguity():
     # feasible color counts of a regular graph form one contiguous block
     for g in [named("C", 4), named("C", 6), named("K", 4), named("Q", 3),
@@ -192,13 +209,13 @@ def _witness_digest(witnesses) -> str:
 
 
 def test_search_tree_pins():
-    # node counts and witnesses recorded from the recursive search this engine
-    # replaced; the same tree gives the same numbers
+    # witnesses recorded from the recursive search this engine replaced; node
+    # counts recorded with the reflection cut, which moves no witness
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 171031), "135f1f530daa57b5"),
-        (named("Q", 3), (True, 3, 6, "complete", 4250), "14ffcb31b319e9f5"),
-        (named("petersen"), (False, None, None, "complete", 346), "4f53cda18c2baa0c"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 95060), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 2710), "14ffcb31b319e9f5"),
+        (named("petersen"), (False, None, None, "complete", 231), "4f53cda18c2baa0c"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "59dc31c5559d1e85"),
     ]
     for g, verdict, digest in pins:
@@ -211,26 +228,32 @@ def test_search_tree_pins():
 
 
 def test_atlas_search_tree_pin():
-    # every non-empty atlas graph on at most 6 vertices, at a budget that caps
-    # a few of them; digests recorded from the recursive searches
+    # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
+    # budget that completes all of them: its verdicts and witnesses were
+    # recorded before the reflection cut, its node counts after. The chi'
+    # search runs at a budget that caps a few; recorded from the recursive
+    # search it replaced
     nx = pytest.importorskip("networkx")
-    oracle_digest = hashlib.sha256()
+    witness_digest = hashlib.sha256()
+    node_digest = hashlib.sha256()
     chi_digest = hashlib.sha256()
     for a in nx.graph_atlas_g():
         if not a.number_of_edges() or a.number_of_nodes() > 6:
             continue
         g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
-        r = gf.oracle(g, 2000)
-        oracle_digest.update(repr((
-            r.member, r.w, r.W, r.status, r.nodes_explored,
+        r = gf.oracle(g, 200_000)
+        witness_digest.update(repr((
+            r.member, r.w, r.W, r.status,
             sorted((t, c.colors) for t, c in r.witnesses.items()),
         )).encode())
+        node_digest.update(repr(r.nodes_explored).encode() + b",")
         try:
             chi = gf.exact_chromatic_index(g, 2000)
             chi_digest.update(repr((chi.chi_prime, chi.witness.colors)).encode())
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
-    assert oracle_digest.hexdigest()[:16] == "f1351bfeff39045a"
+    assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
+    assert node_digest.hexdigest()[:16] == "04df74d30818c62c"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
