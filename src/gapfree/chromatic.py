@@ -10,11 +10,10 @@ and falls back to max degree + 1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .colorings import EdgeColoring
 from .errors import NotBipartite, NotRegular
-from .graph import Graph, bfs_edge_order, degree_profile, is_bipartite
+from .graph import Graph, _Record, bfs_edge_order, degree_profile, is_bipartite
 from .limits import DEFAULT_BUDGET, Budget
 from .search import first_coloring
 
@@ -108,8 +107,7 @@ def bipartite_regular_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(tuple(colors))
 
 
-@dataclass(frozen=True)
-class ChromaticIndexResult:
+class ChromaticIndexResult(_Record):
     chi_prime: int
     witness: EdgeColoring
     class1: bool

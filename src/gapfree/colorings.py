@@ -8,17 +8,14 @@ constructors and the exhaustive search must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, count, islice
-from operator import ne
+from itertools import combinations, islice
 
 from .errors import BadParameter
-from .graph import Graph, data_lines
+from .graph import Graph, _Record, data_lines
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_Record):
     """Total map from edge ids to positive integer colors (a plain array)."""
 
     colors: tuple[int, ...]
@@ -38,22 +35,19 @@ class EdgeColoring:
         return len(self.palette)
 
 
-@dataclass(frozen=True)
-class PropernessViolation:
+class PropernessViolation(_Record):
     vertex: int
     first_edge: int
     second_edge: int
     color: int
 
 
-@dataclass(frozen=True)
-class GapViolation:
+class GapViolation(_Record):
     vertex: int
     colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntervalReport:
+class IntervalReport(_Record):
     """Verdict of verify_interval; valid iff all three violation lists are empty.
 
     unused_colors lists palette mismatches against 1..t: colors in that range
@@ -130,8 +124,13 @@ def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
             fh.write(f"{k} {u} {v} {coloring.colors[k]}\n")
 
 
-def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Parse a coloring file into (declared t, edge endpoints by id, colors by id)."""
+def _parse_coloring(path, expected: tuple) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """Parse a coloring file against expected endpoints by edge id.
+
+    Returns the declared t, the colors by id, and each row whose endpoints are
+    expected[k] in neither order, as (k, u, v); the other rows' endpoints are
+    checked as they are parsed and not kept.
+    """
     rows = data_lines(path)
     if not rows or not rows[0].startswith("t="):
         raise BadParameter(f"{path}: missing t=<K> header")
@@ -142,40 +141,50 @@ def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
     if t < 0:
         raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
     m = len(rows) - 1
-    edges: list = [None] * m
-    colors = [0] * m
+    if len(expected) < m:  # ids past the expected ones match no row
+        expected += (None,) * (m - len(expected))
+    colors = [0] * m  # 0 marks an id no row has given yet
+    odd: list[tuple[int, int, int]] = []
     try:
         for row in islice(rows, 1, None):
             k, u, v, c = row.split()  # a wrong token count fails the unpack
             k, u, v, c = int(k), int(u), int(v), int(c)
             if not 0 <= k < m:
                 raise BadParameter(f"{path}: edge id {k} outside 0..{m - 1}")
-            if edges[k] is not None:
+            if colors[k]:
                 raise BadParameter(f"{path}: duplicate edge id {k}")
             if c < 1:
                 raise BadParameter(f"{path}: edge {k} has non-positive color {c}")
-            edges[k] = (u, v)
             colors[k] = c
+            if (u, v) != expected[k] and (v, u) != expected[k]:
+                odd.append((k, u, v))
     except ValueError:
         raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
     # m lines with m distinct in-range ids: every slot is filled here
+    return t, colors, odd
+
+
+def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """Parse a coloring file into (declared t, edge endpoints by id, colors by id)."""
+    t, colors, rows = _parse_coloring(path, ())  # no expected endpoints: every row is kept
+    edges: list = [None] * len(colors)
+    for k, u, v in rows:
+        edges[k] = (u, v)
     return t, edges, colors
 
 
 def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
     """Read a coloring file and validate it against a graph's edge ids."""
-    t, edges, colors = read_coloring(path)
-    if len(edges) != g.m:
+    t, colors, odd = _parse_coloring(path, g.edges)
+    if len(colors) != g.m:
         raise BadParameter(
-            f"{path}: {len(edges)} colored edges for a graph with {g.m}"
+            f"{path}: {len(colors)} colored edges for a graph with {g.m}"
         )
     if t > g.m:  # m edges carry at most m colors, and the palette check is O(t)
         raise BadParameter(f"{path}: declared color count must be <= the edge count {g.m}, got {t}")
-    # only rows that differ from the canonical pair are looked at again
-    for k in compress(count(), map(ne, edges, g.edges)):
-        u, v = edges[k]
-        if (v, u) != g.edges[k]:
-            raise BadParameter(
-                f"{path}: edge id {k} is ({u},{v}) but the graph has {g.edges[k]}"
-            )
+    if odd:
+        k, u, v = min(odd)  # the lowest id, whatever the rows' order in the file
+        raise BadParameter(
+            f"{path}: edge id {k} is ({u},{v}) but the graph has {g.edges[k]}"
+        )
     return t, EdgeColoring(tuple(colors))

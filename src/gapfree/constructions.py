@@ -26,7 +26,6 @@ the known bound formulas on products and the grid-like families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
@@ -41,7 +40,7 @@ from .errors import (
     NotClass1,
     NotRegular,
 )
-from .graph import Graph, build_graph, degree_profile, is_bipartite
+from .graph import Graph, _Record, build_graph, degree_profile, is_bipartite
 from .limits import DEFAULT_BUDGET
 from .products import ProductGraph, ProductKind, product
 
@@ -308,8 +307,7 @@ def torus_hamming_membership(dims: Sequence[int], kind: str) -> bool:
     return parity == 0
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Exact evaluation of a known bound formula; never a claim of tightness."""
 
     kind: Optional[ProductKind]

@@ -9,7 +9,6 @@ indexed by these edge ids.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional
@@ -17,8 +16,85 @@ from typing import Iterable, Optional
 from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the package's immutable result types: the semantics of a frozen
+    dataclass without its module, whose import (inspect, ast, dis) and
+    generated code were a large share of every gapfree process's start-up.
+
+    A subclass's annotated names are its fields, in order; a class attribute
+    of the same name is that field's default. Instances take the fields
+    positionally or by keyword, are equal only to an instance of the same
+    class with equal fields, hash and repr over the fields, and refuse
+    assignment and deletion. cached_property still works, because it writes
+    the instance __dict__ directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {k: cls.__dict__[k] for k in cls._fields if k in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # one attribute at a time, in declared order, so that instances keep
+        # CPython's key-sharing dicts (a __dict__.update makes a dict each)
+        set_field = object.__setattr__
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that passes keywords or omits defaults."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        for name in kwargs:
+            how = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {how} argument {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        """Validation hook run after the fields are set."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Simple undirected graph whose edges are sorted canonical pairs, which
     incident and the searches rely on (incident rejects any other order);
     build_graph() makes one from any list."""
@@ -69,8 +145,7 @@ class Graph:
         return max(self.degrees, default=0)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(_Record):
     degrees: tuple[int, ...]
     max_degree: int
     is_regular: bool

@@ -9,12 +9,11 @@ budget-exceeded state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
-from .graph import Graph, bfs_edge_order
+from .graph import Graph, _Record, bfs_edge_order
 from .limits import DEFAULT_BUDGET, Budget
 from .search import first_coloring
 
@@ -22,14 +21,13 @@ COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """member/w/W are None where the verdict is unknown (budget exceeded)."""
 
     member: Optional[bool]
     w: Optional[int]
     W: Optional[int]
-    witnesses: dict[int, EdgeColoring] = field(default_factory=dict)
+    witnesses: dict[int, EdgeColoring]
     nodes_explored: int = 0
     status: str = COMPLETE
 
@@ -63,7 +61,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     graphs get every t probed up to the ceiling.
     """
     if g.m == 0:
-        return OracleResult(member=False, w=None, W=None)
+        return OracleResult(member=False, w=None, W=None, witnesses={})
     tracker = Budget(budget)
     order = bfs_edge_order(g)
     regular = len(set(g.degrees)) == 1
@@ -92,8 +90,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Record):
     consistent: bool
     construction_t: int
     oracle_w: Optional[int]

@@ -11,12 +11,11 @@ edge carries an origin tag derived from its endpoints' coordinates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from .errors import BadParameter, EmptyFactor
-from .graph import Graph, data_lines
+from .graph import Graph, _Record, data_lines
 
 
 class ProductKind(Enum):
@@ -33,8 +32,7 @@ class EdgeOrigin(Enum):
     CROSS = "cross"
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(_Record):
     """A product's graph together with its factor-pair provenance."""
 
     graph: Graph
