@@ -17,7 +17,6 @@ from .colorings import (
     IntervalReport,
     PropernessViolation,
     load_coloring,
-    read_coloring,
     verify_interval,
     write_coloring,
 )
@@ -52,15 +51,12 @@ from .errors import (
 )
 from .families import generate
 from .graph import (
-    DegreeProfile,
     Graph,
     build_graph,
-    degree_profile,
     is_bipartite,
     read_edge_list,
     write_edge_list,
 )
-from .limits import DEFAULT_BUDGET
 from .oracle import (
     CrossCheckReport,
     OracleResult,
@@ -77,6 +73,7 @@ from .products import (
     read_provenance,
     write_provenance,
 )
+from .search import DEFAULT_BUDGET
 
 __all__ = [
     "BadDims",
@@ -88,7 +85,6 @@ __all__ = [
     "ConstructionFailed",
     "CrossCheckReport",
     "DEFAULT_BUDGET",
-    "DegreeProfile",
     "DuplicateEdge",
     "EdgeColoring",
     "EdgeOrigin",
@@ -113,7 +109,6 @@ __all__ = [
     "build_graph",
     "cartesian_interval",
     "cross_validate",
-    "degree_profile",
     "exact_chromatic_index",
     "find_interval_coloring",
     "generate",
@@ -123,7 +118,6 @@ __all__ = [
     "load_coloring",
     "oracle",
     "product",
-    "read_coloring",
     "read_edge_list",
     "read_provenance",
     "regular_membership",

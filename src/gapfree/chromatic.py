@@ -13,9 +13,8 @@ from collections import deque
 
 from .colorings import EdgeColoring
 from .errors import NotBipartite, NotRegular
-from .graph import Graph, _Record, bfs_edge_order, degree_profile, is_bipartite
-from .limits import DEFAULT_BUDGET, Budget
-from .search import first_coloring
+from .graph import Graph, _Record, bfs_edge_order, is_bipartite
+from .search import DEFAULT_BUDGET, Budget, first_coloring
 
 _INF = float("inf")
 
@@ -86,13 +85,12 @@ def bipartite_regular_coloring(g: Graph) -> EdgeColoring:
     vertex is covered by each matching, hence sees every color: the result is
     automatically an interval r-coloring.
     """
-    profile = degree_profile(g)
-    if not profile.is_regular or not profile.regularity:
-        raise NotRegular(f"need an r-regular graph with r >= 1, degrees {set(profile.degrees)}")
+    r = g.regularity
+    if not r:
+        raise NotRegular(f"need an r-regular graph with r >= 1, degrees {set(g.degrees)}")
     ok, sides = is_bipartite(g)
     if not ok:
         raise NotBipartite("graph contains an odd cycle")
-    r = profile.regularity
     left = [v for v in range(g.n) if sides[v] == 0]
     # neighbour -> edge id; a matched edge is popped, and the keys keep the
     # ascending-neighbour order in which _hopcroft_karp tries them
@@ -145,9 +143,8 @@ def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     Edgeless graphs are vacuously class 1 but admit no coloring that uses
     color 1, so they are reported as non-members.
     """
-    profile = degree_profile(g)
-    if not profile.is_regular:
-        raise NotRegular(f"graph is not regular, degrees {set(profile.degrees)}")
+    if g.regularity is None:
+        raise NotRegular(f"graph is not regular, degrees {set(g.degrees)}")
     if g.m == 0:
         return False
     return exact_chromatic_index(g, budget).class1

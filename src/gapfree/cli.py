@@ -32,9 +32,9 @@ from .dot import to_dot
 from .errors import BadParameter, BudgetExceeded, GapfreeError
 from .families import generate
 from .graph import read_edge_list, write_edge_list
-from .limits import DEFAULT_BUDGET
 from .oracle import BUDGET_EXCEEDED, find_interval_coloring, oracle
 from .products import ProductKind, product, write_provenance
+from .search import DEFAULT_BUDGET
 
 _KINDS = {
     "cartesian": ProductKind.CARTESIAN,

@@ -124,12 +124,12 @@ def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
             fh.write(f"{k} {u} {v} {coloring.colors[k]}\n")
 
 
-def _parse_coloring(path, expected: tuple) -> tuple[int, list[int], list[tuple[int, int, int]]]:
-    """Parse a coloring file against expected endpoints by edge id.
+def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
+    """Read a coloring file and validate it against a graph's edge ids.
 
-    Returns the declared t, the colors by id, and each row whose endpoints are
-    expected[k] in neither order, as (k, u, v); the other rows' endpoints are
-    checked as they are parsed and not kept.
+    Every row is parsed before the graph is consulted, so a malformed file
+    gets the same message whatever the graph: the row count, the declared t
+    and the endpoints are checked after the parse, in that order.
     """
     rows = data_lines(path)
     if not rows or not rows[0].startswith("t="):
@@ -141,10 +141,10 @@ def _parse_coloring(path, expected: tuple) -> tuple[int, list[int], list[tuple[i
     if t < 0:
         raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
     m = len(rows) - 1
-    if len(expected) < m:  # ids past the expected ones match no row
-        expected += (None,) * (m - len(expected))
+    edges = g.edges
+    n_edges = len(edges)
     colors = [0] * m  # 0 marks an id no row has given yet
-    odd: list[tuple[int, int, int]] = []
+    odd: list[tuple[int, int, int]] = []  # rows whose endpoints are not edge k's
     try:
         for row in islice(rows, 1, None):
             k, u, v, c = row.split()  # a wrong token count fails the unpack
@@ -156,35 +156,18 @@ def _parse_coloring(path, expected: tuple) -> tuple[int, list[int], list[tuple[i
             if c < 1:
                 raise BadParameter(f"{path}: edge {k} has non-positive color {c}")
             colors[k] = c
-            if (u, v) != expected[k] and (v, u) != expected[k]:
+            if k >= n_edges or ((u, v) != edges[k] and (v, u) != edges[k]):
                 odd.append((k, u, v))
     except ValueError:
         raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
     # m lines with m distinct in-range ids: every slot is filled here
-    return t, colors, odd
-
-
-def read_coloring(path) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Parse a coloring file into (declared t, edge endpoints by id, colors by id)."""
-    t, colors, rows = _parse_coloring(path, ())  # no expected endpoints: every row is kept
-    edges: list = [None] * len(colors)
-    for k, u, v in rows:
-        edges[k] = (u, v)
-    return t, edges, colors
-
-
-def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
-    """Read a coloring file and validate it against a graph's edge ids."""
-    t, colors, odd = _parse_coloring(path, g.edges)
-    if len(colors) != g.m:
-        raise BadParameter(
-            f"{path}: {len(colors)} colored edges for a graph with {g.m}"
-        )
-    if t > g.m:  # m edges carry at most m colors, and the palette check is O(t)
-        raise BadParameter(f"{path}: declared color count must be <= the edge count {g.m}, got {t}")
+    if m != n_edges:
+        raise BadParameter(f"{path}: {m} colored edges for a graph with {n_edges}")
+    if t > n_edges:  # m edges carry at most m colors, and the palette check is O(t)
+        raise BadParameter(f"{path}: declared color count must be <= the edge count {n_edges}, got {t}")
     if odd:
         k, u, v = min(odd)  # the lowest id, whatever the rows' order in the file
         raise BadParameter(
-            f"{path}: edge id {k} is ({u},{v}) but the graph has {g.edges[k]}"
+            f"{path}: edge id {k} is ({u},{v}) but the graph has {edges[k]}"
         )
     return t, EdgeColoring(tuple(colors))

@@ -26,7 +26,7 @@ the known bound formulas on products and the grid-like families.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
 from .colorings import EdgeColoring, IntervalReport, verify_interval
@@ -40,9 +40,9 @@ from .errors import (
     NotClass1,
     NotRegular,
 )
-from .graph import Graph, _Record, build_graph, degree_profile, is_bipartite
-from .limits import DEFAULT_BUDGET
+from .graph import Graph, _Record, build_graph, is_bipartite
 from .products import ProductGraph, ProductKind, product
+from .search import DEFAULT_BUDGET
 
 _K2 = build_graph(2, [(0, 1)])
 
@@ -73,12 +73,12 @@ def _validated_alpha(g: Graph, alpha: EdgeColoring) -> int:
 
 
 def _require_regular(h: Graph) -> int:
-    profile = degree_profile(h)
-    if not profile.is_regular or not profile.regularity:
+    r = h.regularity
+    if not r:
         raise NotRegular(
-            f"the right factor must be r-regular with r >= 1, degrees {set(profile.degrees)}"
+            f"the right factor must be r-regular with r >= 1, degrees {set(h.degrees)}"
         )
-    return profile.regularity
+    return r
 
 
 def _interval_regular_coloring(h: Graph, budget: int) -> EdgeColoring:
@@ -310,9 +310,9 @@ def torus_hamming_membership(dims: Sequence[int], kind: str) -> bool:
 class BoundReport(_Record):
     """Exact evaluation of a known bound formula; never a claim of tightness."""
 
-    kind: Optional[ProductKind]
-    w_upper: Optional[int]
-    W_lower: Optional[int]
+    kind: ProductKind | None
+    w_upper: int | None
+    W_lower: int | None
     source: str
 
 

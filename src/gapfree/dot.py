@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .colorings import EdgeColoring
 from .graph import Graph
 
@@ -24,7 +22,7 @@ PALETTE = (
 )
 
 
-def to_dot(g: Graph, coloring: Optional[EdgeColoring] = None) -> str:
+def to_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """Undirected DOT text; with a coloring, edges get label=<color> and a
     display color cycled from the fixed 12-entry palette."""
     if coloring is not None and len(coloring.colors) != g.m:

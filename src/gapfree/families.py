@@ -114,61 +114,37 @@ def hamming(*dims: int) -> Graph:
     return reduce(lambda a, b: product(ProductKind.CARTESIAN, a, b).graph, factors)
 
 
-_FIXED = {
-    "petersen": petersen,
-    "k113": k113,
-    "k_1_1_3": k113,
-    "k13e": k13_plus_e,
-    "k13+e": k13_plus_e,
-    "k_1_3_e": k13_plus_e,
+# name -> (builder, parameter count, or None for any number), one row per
+# family with all its names
+_FAMILIES = {
+    name: (build, arity)
+    for build, arity, names in [
+        (petersen, 0, "petersen"),
+        (k113, 0, "k113 k_1_1_3"),
+        (k13_plus_e, 0, "k13e k13+e k_1_3_e"),
+        (path, 1, "p path"),
+        (cycle, 1, "c cycle"),
+        (complete, 1, "k complete"),
+        (empty_graph, 1, "nk1 empty"),
+        (hypercube, 1, "q hypercube cube"),
+        (biclique, 2, "kmn biclique"),
+        (cylinder, 2, "cylinder cyl"),
+        (torus, 2, "torus t"),
+        (grid, None, "grid g"),
+        (hamming, None, "hamming h"),
+    ]
+    for name in names.split()
 }
 
-_ONE_PARAM = {
-    "p": path,
-    "path": path,
-    "c": cycle,
-    "cycle": cycle,
-    "k": complete,
-    "complete": complete,
-    "nk1": empty_graph,
-    "empty": empty_graph,
-    "q": hypercube,
-    "hypercube": hypercube,
-    "cube": hypercube,
-}
-
-_TWO_PARAM = {
-    "kmn": biclique,
-    "biclique": biclique,
-    "cylinder": cylinder,
-    "cyl": cylinder,
-    "torus": torus,
-    "t": torus,
-}
-
-_VARIADIC = {
-    "grid": grid,
-    "g": grid,
-    "hamming": hamming,
-    "h": hamming,
-}
+_ARITY = ("takes no parameters", "takes exactly one parameter", "takes exactly two parameters")
 
 
 def generate(family: str, *params: int) -> Graph:
     """Build a named family instance, e.g. generate("C", 5) or generate("grid", 4, 4)."""
-    name = family.strip().lower()
-    if name in _FIXED:
-        if params:
-            raise BadParameter(f"{family} takes no parameters")
-        return _FIXED[name]()
-    if name in _ONE_PARAM:
-        if len(params) != 1:
-            raise BadParameter(f"{family} takes exactly one parameter")
-        return _ONE_PARAM[name](params[0])
-    if name in _TWO_PARAM:
-        if len(params) != 2:
-            raise BadParameter(f"{family} takes exactly two parameters")
-        return _TWO_PARAM[name](params[0], params[1])
-    if name in _VARIADIC:
-        return _VARIADIC[name](*params)
-    raise BadParameter(f"unknown family {family!r}")
+    try:
+        build, arity = _FAMILIES[family.strip().lower()]
+    except KeyError:
+        raise BadParameter(f"unknown family {family!r}") from None
+    if arity is not None and len(params) != arity:
+        raise BadParameter(f"{family} {_ARITY[arity]}")
+    return build(*params)

@@ -9,9 +9,9 @@ indexed by these edge ids.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional
 
 from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 
@@ -144,12 +144,13 @@ class Graph(_Record):
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-
-class DegreeProfile(_Record):
-    degrees: tuple[int, ...]
-    max_degree: int
-    is_regular: bool
-    regularity: Optional[int]
+    @property
+    def regularity(self) -> int | None:
+        """The common degree r when every vertex has degree r, else None; 0
+        for a graph without edges, including the one without vertices."""
+        degs = self.degrees
+        r = degs[0] if degs else 0
+        return r if degs.count(r) == len(degs) else None
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -179,18 +180,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(canon)))
 
 
-def degree_profile(g: Graph) -> DegreeProfile:
-    degs = g.degrees
-    regular = len(set(degs)) <= 1
-    return DegreeProfile(
-        degrees=degs,
-        max_degree=g.max_degree,
-        is_regular=regular,
-        regularity=(degs[0] if regular and g.n > 0 else (0 if regular else None)),
-    )
-
-
-def is_bipartite(g: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
+def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """BFS 2-coloring; returns (True, side-per-vertex) or (False, None)."""
     side = [-1] * g.n
     for start in range(g.n):

@@ -9,13 +9,10 @@ budget-exceeded state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
 from .graph import Graph, _Record, bfs_edge_order
-from .limits import DEFAULT_BUDGET, Budget
-from .search import first_coloring
+from .search import DEFAULT_BUDGET, Budget, first_coloring
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -24,9 +21,9 @@ BUDGET_EXCEEDED = "budget_exceeded"
 class OracleResult(_Record):
     """member/w/W are None where the verdict is unknown (budget exceeded)."""
 
-    member: Optional[bool]
-    w: Optional[int]
-    W: Optional[int]
+    member: bool | None
+    w: int | None
+    W: int | None
     witnesses: dict[int, EdgeColoring]
     nodes_explored: int = 0
     status: str = COMPLETE
@@ -34,7 +31,7 @@ class OracleResult(_Record):
 
 def find_interval_coloring(
     g: Graph, t: int, budget: int = DEFAULT_BUDGET
-) -> Optional[EdgeColoring]:
+) -> EdgeColoring | None:
     """First interval t-coloring in search order, or None if provably absent.
 
     Raises BudgetExceeded when the search gives up, so None is always a proof.
@@ -64,7 +61,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
         return OracleResult(member=False, w=None, W=None, witnesses={})
     tracker = Budget(budget)
     order = bfs_edge_order(g)
-    regular = len(set(g.degrees)) == 1
+    regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
     try:
@@ -93,8 +90,8 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
 class CrossCheckReport(_Record):
     consistent: bool
     construction_t: int
-    oracle_w: Optional[int]
-    oracle_W: Optional[int]
+    oracle_w: int | None
+    oracle_W: int | None
     oracle_status: str
     notes: tuple[str, ...]
 

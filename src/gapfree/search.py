@@ -1,16 +1,34 @@
-"""The exhaustive edge-coloring search behind the oracle and the chromatic index."""
+"""The exhaustive edge-coloring search behind the oracle and the chromatic
+index, and the node-count budget it spends."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
+from .errors import BudgetExceeded
 from .graph import Graph
-from .limits import Budget
+
+DEFAULT_BUDGET = 10_000_000
+
+
+class Budget:
+    """Mutable counter; spend() raises BudgetExceeded once the limit is passed."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, amount: int) -> None:
+        self.used += amount
+        if self.used > self.limit:
+            raise BudgetExceeded(
+                f"search budget of {self.limit} nodes exhausted", self.used
+            )
 
 
 def first_coloring(
     g: Graph, order: Sequence[int], k: int, budget: Budget, interval: bool
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Colors by edge id of the first coloring with colors 1..k, or None if
     none exists.
 

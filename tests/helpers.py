@@ -73,7 +73,7 @@ def collect_matrix() -> list[dict]:
         for alpha in factor_alphas(g):
             t = alpha.t
             for hname, h in h_pool_regular():
-                r = gf.degree_profile(h).regularity
+                r = h.regularity
                 entries.append(
                     dict(
                         theorem="t12",

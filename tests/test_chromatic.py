@@ -41,7 +41,7 @@ def test_c4_alternating():
 
 def test_double_cover_of_c5():
     cover = gf.product(gf.ProductKind.TENSOR, named("K", 2), named("C", 5)).graph
-    assert gf.degree_profile(cover).regularity == 2
+    assert cover.regularity == 2
     assert cover.n == 10
     coloring = gf.bipartite_regular_coloring(cover)
     for v in range(cover.n):
@@ -50,7 +50,7 @@ def test_double_cover_of_c5():
 
 def test_every_vertex_sees_full_palette():
     for g in bipartite_regular_zoo():
-        r = gf.degree_profile(g).regularity
+        r = g.regularity
         coloring = gf.bipartite_regular_coloring(g)
         assert sorted(coloring.palette) == list(range(1, r + 1))
         for v in range(g.n):
@@ -63,7 +63,7 @@ def test_color_classes_are_perfect_matchings():
     # equivalent to the peeling invariant: after removing classes 1..k the
     # residue is (r-k)-regular
     for g in bipartite_regular_zoo():
-        r = gf.degree_profile(g).regularity
+        r = g.regularity
         coloring = gf.bipartite_regular_coloring(g)
         for k in range(1, r + 1):
             hits = [0] * g.n

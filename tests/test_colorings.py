@@ -137,7 +137,7 @@ def test_verifier_matches_naive_reimplementation():
 def test_regular_class1_coloring_is_interval():
     # any proper coloring of an r-regular graph with palette exactly 1..r is interval
     for g in [named("C", 4), named("C", 6), named("K", 4), named("Q", 3), named("kmn", 3, 3)]:
-        r = gf.degree_profile(g).regularity
+        r = g.regularity
         result = gf.exact_chromatic_index(g)
         assert result.class1
         report = gf.verify_interval(g, result.witness, r)

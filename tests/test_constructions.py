@@ -46,7 +46,7 @@ def test_stride_containment():
         if entry["theorem"] not in ("t12", "t13"):
             continue
         g, alpha, h = entry["g"], entry["alpha"], entry["h"]
-        r = gf.degree_profile(h).regularity
+        r = h.regularity
         stride = r if entry["theorem"] == "t12" else r + 1
         prod, coloring = entry["build"]()
         for x in range(prod.graph.n):
@@ -87,7 +87,7 @@ def test_tensor_w_coloring_of_p4():
 
 def test_strong_tensor_k2_c4_is_cover_coloring():
     prod, coloring = gf.strong_tensor_interval(named("K", 2), gf.EdgeColoring((1,)), named("C", 4))
-    assert gf.degree_profile(prod.graph).regularity == 3
+    assert prod.graph.regularity == 3
     assert coloring.t == 3
     assert gf.verify_interval(prod.graph, coloring, 3).valid
 
@@ -276,7 +276,7 @@ def test_constructors_on_random_colorable_factors():
             continue
         for t, alpha in result.witnesses.items():
             h = rights[built % len(rights)]
-            r = gf.degree_profile(h).regularity
+            r = h.regularity
             for build, expected in [
                 (lambda: gf.tensor_interval(g, alpha, h), t * r),
                 (lambda: gf.strong_tensor_interval(g, alpha, h), t * (r + 1)),

@@ -75,14 +75,13 @@ def test_path_generator():
 def test_cycle_generator():
     c5 = named("C", 5)
     assert (c5.n, c5.m) == (5, 5)
-    assert gf.degree_profile(c5).regularity == 2
+    assert c5.regularity == 2
 
 
 def test_petersen_generator():
     p = named("petersen")
     assert (p.n, p.m) == (10, 15)
-    profile = gf.degree_profile(p)
-    assert profile.is_regular and profile.regularity == 3
+    assert p.regularity == 3
 
 
 def test_bad_parameters():
@@ -97,21 +96,34 @@ def test_bad_parameters():
 
 
 def test_degree_profile_k4():
-    profile = gf.degree_profile(named("K", 4))
-    assert profile.is_regular and profile.regularity == 3
+    assert named("K", 4).regularity == 3
 
 
 def test_degree_profile_k13e():
-    profile = gf.degree_profile(named("k13e"))
-    assert not profile.is_regular and profile.max_degree == 3
+    g = named("k13e")
+    assert g.regularity is None and g.max_degree == 3
 
 
 def test_degree_profile_cylinder_2_4():
     # C(2,4) = P2 box C4 is the 3-cube: every vertex has degree 1 + 2
-    profile = gf.degree_profile(named("cylinder", 2, 4))
-    assert profile.max_degree == 3
-    assert profile.degrees == (3,) * 8
-    assert profile.is_regular and profile.regularity == 3
+    g = named("cylinder", 2, 4)
+    assert g.max_degree == 3
+    assert g.degrees == (3,) * 8
+    assert g.regularity == 3
+
+
+def test_regularity():
+    # the common degree, 0 when there are no edges, None for an irregular graph
+    assert gf.Graph(0, ()).regularity == 0
+    assert named("nk1", 1).regularity == 0
+    assert named("nk1", 4).regularity == 0
+    assert named("k13e").regularity is None
+    assert named("P", 3).regularity is None
+    assert gf.build_graph(3, [(0, 1)]).regularity is None  # K2 plus an isolated vertex
+    assert named("K", 2).regularity == 1
+    assert named("C", 5).regularity == 2
+    assert named("petersen").regularity == 3
+    assert named("Q", 3).regularity == 3
 
 
 def test_hypercube_counts():
@@ -119,8 +131,7 @@ def test_hypercube_counts():
         q = named("Q", n)
         assert q.n == 2**n
         assert q.m == n * 2 ** (n - 1)
-        profile = gf.degree_profile(q)
-        assert profile.is_regular and profile.regularity == n
+        assert q.regularity == n
         ok, _ = gf.is_bipartite(q)
         assert ok
 
@@ -153,13 +164,13 @@ def test_k113_shape():
 def test_torus_and_hamming_shapes():
     t34 = named("torus", 3, 4)
     assert (t34.n, t34.m) == (12, 24)
-    assert gf.degree_profile(t34).regularity == 4
+    assert t34.regularity == 4
     t24 = named("torus", 2, 4)  # dimension 2 read as K2
     assert (t24.n, t24.m) == (8, 12)
-    assert gf.degree_profile(t24).regularity == 3
+    assert t24.regularity == 3
     h22 = named("hamming", 2, 2)
     assert (h22.n, h22.m) == (4, 4)
-    assert gf.degree_profile(h22).regularity == 2
+    assert h22.regularity == 2
 
 
 def test_is_bipartite_examples():
@@ -221,3 +232,54 @@ def test_bfs_edge_order_pin():
         )
         digest.update(repr(bfs_edge_order(g)).encode())
     assert digest.hexdigest()[:16] == "5e88957266674710"
+
+
+# every family name and alias generate() accepts, by parameter count (None: any)
+FAMILY_NAMES = {
+    0: ["petersen", "k113", "k_1_1_3", "k13e", "k13+e", "k_1_3_e"],
+    1: ["p", "path", "c", "cycle", "k", "complete", "nk1", "empty", "q", "hypercube", "cube"],
+    2: ["kmn", "biclique", "cylinder", "cyl", "torus", "t"],
+    None: ["grid", "g", "hamming", "h"],
+}
+
+
+def test_generate_pin():
+    # sha256 over every name and alias at small parameters, each giving
+    # (n, edges) or the exception it raises; recorded before the family
+    # tables were merged into one
+    calls = [(name, ()) for name in FAMILY_NAMES[0]]
+    calls += [(name, (a,)) for name in FAMILY_NAMES[1] for a in range(7)]
+    calls += [(name, (a, b)) for name in FAMILY_NAMES[2] for a in range(5) for b in range(5)]
+    calls += [
+        (name, dims)
+        for name in FAMILY_NAMES[None]
+        for dims in [(), (1,), (3,), (2, 3), (3, 1), (2, 2, 2)]
+    ]
+    digest = hashlib.sha256()
+    for name, params in calls:
+        for spelling in (name, f" {name.upper()} "):
+            try:
+                g = gf.generate(spelling, *params)
+                digest.update(repr((spelling, params, g.n, g.edges)).encode())
+            except BadParameter as exc:
+                digest.update(repr((spelling, params, str(exc))).encode())
+    assert len(calls) == 6 + 77 + 150 + 24
+    assert digest.hexdigest()[:16] == "868a5cea9265469e"
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("petersen", (5,), "petersen takes no parameters"),
+    (" K13+E ", (1, 2), " K13+E  takes no parameters"),
+    ("C", (), "C takes exactly one parameter"),
+    ("cube", (2, 2), "cube takes exactly one parameter"),
+    ("torus", (3,), "torus takes exactly two parameters"),
+    ("Kmn", (1, 2, 3), "Kmn takes exactly two parameters"),
+    ("grid", (), "grid needs at least one dimension"),
+    ("nosuchfamily", (3,), "unknown family 'nosuchfamily'"),
+    ("", (), "unknown family ''"),
+])
+def test_generate_messages(family, params, message):
+    with pytest.raises(BadParameter) as info:
+        gf.generate(family, *params)
+    assert type(info.value) is BadParameter
+    assert str(info.value) == message

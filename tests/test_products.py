@@ -110,8 +110,7 @@ def test_lex_k2_2k1_is_c4():
     prod = gf.product(ProductKind.LEXICOGRAPHIC, named("K", 2), named("nk1", 2))
     g = prod.graph
     assert (g.n, g.m) == (4, 4)
-    profile = gf.degree_profile(g)
-    assert profile.is_regular and profile.regularity == 2
+    assert g.regularity == 2
     ok, _ = gf.is_bipartite(g)
     assert ok
 
@@ -120,7 +119,7 @@ def test_cartesian_k2_k2_is_c4():
     prod = gf.product(ProductKind.CARTESIAN, named("K", 2), named("K", 2))
     g = prod.graph
     assert (g.n, g.m) == (4, 4)
-    assert gf.degree_profile(g).regularity == 2
+    assert g.regularity == 2
 
 
 def test_empty_factor_rejected():
@@ -158,12 +157,12 @@ def test_regular_degree_laws():
     # a-regular strong b-regular -> (ab+a+b)-regular; lex -> (b + a|V(H)|)-regular
     cases = [(named("C", 4), named("K", 2)), (named("K", 4), named("C", 4))]
     for g, h in cases:
-        a = gf.degree_profile(g).regularity
-        b = gf.degree_profile(h).regularity
+        a = g.regularity
+        b = h.regularity
         strong = gf.product(ProductKind.STRONG, g, h).graph
-        assert gf.degree_profile(strong).regularity == a * b + a + b
+        assert strong.regularity == a * b + a + b
         lex = gf.product(ProductKind.LEXICOGRAPHIC, g, h).graph
-        assert gf.degree_profile(lex).regularity == b + a * h.n
+        assert lex.regularity == b + a * h.n
 
 
 def test_provenance_roundtrip(tmp_path):
