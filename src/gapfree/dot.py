@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .colorings import EdgeColoring
+from .colorings import EdgeColoring, _check_total
 from .graph import Graph
 
 # fixed display palette; edge color ids cycle through it
@@ -25,8 +25,8 @@ PALETTE = (
 def to_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """Undirected DOT text; with a coloring, edges get label=<color> and a
     display color cycled from the fixed 12-entry palette."""
-    if coloring is not None and len(coloring.colors) != g.m:
-        raise ValueError("coloring does not match graph")
+    if coloring is not None:
+        _check_total(g, coloring)
     lines = ["graph {"]
     for v in range(g.n):
         lines.append(f"  {v};")

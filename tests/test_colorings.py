@@ -171,6 +171,15 @@ def test_total_coloring_required():
         gf.EdgeColoring((0, 1))
 
 
+def test_to_dot_requires_a_total_coloring():
+    # the CLI cannot get here (load_coloring checks the row count first)
+    g = named("P", 4)
+    assert gf.to_dot(g, gf.EdgeColoring((1, 2, 1))).count("[label=") == 3
+    for colors in ((1, 2), (1, 2, 1, 2)):
+        with pytest.raises(ValueError, match=f"{len(colors)} entries for a graph with 3 edges"):
+            gf.to_dot(g, gf.EdgeColoring(colors))
+
+
 def test_corrupted_product_report_pin():
     # the full report, in order, recorded before the verifier became one pass
     prod, coloring = gf.strong_interval(

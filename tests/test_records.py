@@ -17,6 +17,7 @@ import gapfree as gf
 from gapfree.chromatic import ChromaticIndexResult
 from gapfree.colorings import GapViolation, PropernessViolation
 from gapfree.constructions import BoundReport
+from gapfree.graph import _Record
 from gapfree.oracle import CrossCheckReport, OracleResult
 from gapfree.products import ProductGraph, ProductKind
 
@@ -151,12 +152,42 @@ def test_records_behave_like_frozen_dataclasses():
     assert OracleResult(False, None, None, {}) == OracleResult(False, None, None, {}, 0, "complete")
 
 
+def test_bad_calls_name_the_class():
+    for cls, values, _, _ in _samples():
+        fields = tuple(cls.__annotations__)
+        calls = [
+            ((), {}),                                # no arguments
+            ((*values(), 0), {}),                    # one argument too many
+            (values(), {"not_a_field": 0}),          # an unknown keyword
+            (values(), {fields[0]: values()[0]}),    # by position and by keyword
+        ]
+        for args, kwargs in calls:
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*args, **kwargs)
+
+
+def test_fields_with_defaults_come_last():
+    with pytest.raises(TypeError, match="'b' without a default"):
+        class Bad(_Record):
+            a: int = 1
+            b: int
+
+    class Good(_Record):
+        a: int
+        b: int = 2
+        c: str = "c"
+
+    assert repr(Good(1)) == f"{Good.__qualname__}(a=1, b=2, c='c')"
+    assert Good(1, c="x") == Good(a=1, b=2, c="x") == Good(1, 2, "x")
+
+
 def test_cli_import_leaves_dataclasses_out():
-    # neither dataclasses nor typing: the package imports neither
+    # neither dataclasses, typing nor inspect: the package imports none of them
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, gapfree.cli; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))"],
+         "import sys, gapfree.cli; "
+         "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
