@@ -332,6 +332,18 @@ def _req(params: dict, *names: str) -> list:
     return [params[name] for name in names]
 
 
+def _composition(params: dict, *names: str) -> list:
+    """_req for a composition bound: 1 <= w <= W for each factor, r, n >= 1."""
+    got = dict(zip(names, _req(params, *names)))
+    for w, W in (("w_g", "W_g"), ("w_h", "W_h")):
+        if w in got and not 1 <= got[w] <= got[W]:
+            raise BadParameter(f"composition bound needs 1 <= {w} <= {W}, got {got[w]},{got[W]}")
+    for name in ("r", "n"):
+        if name in got and got[name] < 1:
+            raise BadParameter(f"composition bound needs {name} >= 1, got {got[name]}")
+    return list(got.values())
+
+
 def _path_degree(m: int) -> int:
     if m < 1:
         raise BadParameter(f"path length must be >= 1, got {m}")
@@ -363,7 +375,7 @@ def _exact_delta(family: str, dims: Sequence[int]) -> int:
 def bound_report(theorem: str, **params) -> BoundReport:
     """Evaluate one of the known bound formulas.
 
-    Product composition bounds (parameters w_g, W_g and r / n as needed):
+    Product composition bounds (w <= W per factor, r / n as needed; all >= 1):
       t2  cartesian      w <= w_g + w_h           W >= W_g + W_h
       t12 tensor         w <= w_g * r             W >= W_g * r
       t13 strong tensor  w <= w_g * (r+1)         W >= W_g * (r+1)
@@ -381,26 +393,26 @@ def bound_report(theorem: str, **params) -> BoundReport:
     """
     p = params
     if theorem == "t2":
-        w_g, W_g, w_h, W_h = _req(p, "w_g", "W_g", "w_h", "W_h")
+        w_g, W_g, w_h, W_h = _composition(p, "w_g", "W_g", "w_h", "W_h")
         return BoundReport(ProductKind.CARTESIAN, w_g + w_h, W_g + W_h, theorem)
     if theorem == "t12":
-        w_g, W_g, r = _req(p, "w_g", "W_g", "r")
+        w_g, W_g, r = _composition(p, "w_g", "W_g", "r")
         return BoundReport(ProductKind.TENSOR, w_g * r, W_g * r, theorem)
     if theorem == "t13":
-        w_g, W_g, r = _req(p, "w_g", "W_g", "r")
+        w_g, W_g, r = _composition(p, "w_g", "W_g", "r")
         return BoundReport(ProductKind.STRONG_TENSOR, w_g * (r + 1), W_g * (r + 1), theorem)
     if theorem == "t14":
-        w_g, W_g, r = _req(p, "w_g", "W_g", "r")
+        w_g, W_g, r = _composition(p, "w_g", "W_g", "r")
         return BoundReport(
             ProductKind.STRONG, w_g * (r + 1) + r, W_g * (r + 1) + r, theorem
         )
     if theorem == "t16":
-        w_g, W_g, n = _req(p, "w_g", "W_g", "n")
+        w_g, W_g, n = _composition(p, "w_g", "W_g", "n")
         return BoundReport(
             ProductKind.LEXICOGRAPHIC, w_g * n, (W_g + 1) * n - 1, theorem
         )
     if theorem == "t17":
-        w_g, W_g, r, n = _req(p, "w_g", "W_g", "r", "n")
+        w_g, W_g, r, n = _composition(p, "w_g", "W_g", "r", "n")
         return BoundReport(
             ProductKind.LEXICOGRAPHIC, w_g * n + r, W_g * n + r, theorem
         )

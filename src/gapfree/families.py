@@ -46,15 +46,16 @@ def empty_graph(n: int) -> Graph:
     return build_graph(n, [])
 
 
+def _cartesian(*factors: Graph) -> Graph:
+    """Cartesian product of the factors, folded from the left."""
+    return reduce(lambda a, b: product(ProductKind.CARTESIAN, a, b).graph, factors)
+
+
 def hypercube(n: int) -> Graph:
     """Q_n as the n-fold Cartesian power of K2."""
     if n < 1:
         raise BadParameter(f"hypercube needs n >= 1, got {n}")
-    k2 = complete(2)
-    q = k2
-    for _ in range(n - 1):
-        q = product(ProductKind.CARTESIAN, q, k2).graph
-    return q
+    return _cartesian(*[complete(2)] * n)
 
 
 def petersen() -> Graph:
@@ -83,13 +84,12 @@ def grid(*dims: int) -> Graph:
     """Cartesian product of paths, one per dimension."""
     if not dims:
         raise BadParameter("grid needs at least one dimension")
-    factors = [path(d) for d in dims]
-    return reduce(lambda a, b: product(ProductKind.CARTESIAN, a, b).graph, factors)
+    return _cartesian(*[path(d) for d in dims])
 
 
 def cylinder(m: int, k: int) -> Graph:
     """P_m x C_k under the Cartesian product."""
-    return product(ProductKind.CARTESIAN, path(m), cycle(k)).graph
+    return _cartesian(path(m), cycle(k))
 
 
 def _cycle_factor(k: int) -> Graph:
@@ -101,7 +101,7 @@ def _cycle_factor(k: int) -> Graph:
 
 def torus(a: int, b: int) -> Graph:
     """Cartesian product of two cycles (dimension 2 read as K2)."""
-    return product(ProductKind.CARTESIAN, _cycle_factor(a), _cycle_factor(b)).graph
+    return _cartesian(_cycle_factor(a), _cycle_factor(b))
 
 
 def hamming(*dims: int) -> Graph:
@@ -110,8 +110,7 @@ def hamming(*dims: int) -> Graph:
         raise BadParameter("hamming needs at least one dimension")
     if any(d < 2 for d in dims):
         raise BadParameter(f"hamming dimensions must be >= 2, got {dims}")
-    factors = [complete(d) for d in dims]
-    return reduce(lambda a, b: product(ProductKind.CARTESIAN, a, b).graph, factors)
+    return _cartesian(*[complete(d) for d in dims])
 
 
 # name -> (builder, parameter count, or None for any number), one row per

@@ -46,8 +46,9 @@ def first_coloring(
     search that finds one walks the same tree and returns the same coloring,
     and only a search that proves absence visits fewer nodes. Otherwise the
     coloring must be proper, with new colors in first-use order (which breaks
-    every color permutation already) and at most n//2 edges (a matching) per
-    color.
+    every color permutation already). Properness alone keeps each class a
+    matching: one of n//2 edges covers n-1 vertices or more, so no edge left
+    can take its color. Only exact_chromatic_index's skip reads the n//2 bound.
 
     Color c is bit c-1 of the masks kept per vertex (its colors) and per depth
     (colors used above it, candidates left). Each node visited, the final leaf
@@ -61,9 +62,6 @@ def first_coloring(
     palette = [0] * (m + 1)
     cands = [0] * m
     chosen = [0] * m
-    cap = g.n // 2
-    count = [0] * (k + 1)  # class sizes, proper search only
-    full = 0  # classes holding cap edges, proper search only
     half = (k + 1) // 2  # reflection cut: the first edge's colors, interval search
     left = budget.limit - budget.used
     nodes = pos = 0
@@ -103,7 +101,7 @@ def first_coloring(
             limit = pal.bit_length() + 1
             if limit > k:
                 limit = k
-            cand = ((1 << limit) - 1) & ~(x | y | full)
+            cand = ((1 << limit) - 1) & ~(x | y)
         while not cand:
             pos -= 1
             if pos < 0:
@@ -113,21 +111,11 @@ def first_coloring(
             bit = chosen[pos]
             used[u] ^= bit
             used[v] ^= bit
-            if not interval:
-                c = bit.bit_length()
-                if count[c] == cap:
-                    full ^= bit
-                count[c] -= 1
             cand = cands[pos]
         bit = cand & -cand
         cands[pos] = cand ^ bit
         chosen[pos] = bit
         used[u] |= bit
         used[v] |= bit
-        if not interval:
-            c = bit.bit_length()
-            count[c] += 1
-            if count[c] == cap:
-                full |= bit
         pos += 1
         palette[pos] = palette[pos - 1] | bit

@@ -100,6 +100,21 @@ def test_formula_bad_ranges():
         gf.bound_report("t5", m=1, n=2)
     with pytest.raises(BadParameter):
         gf.bound_report("t6", n=0)
+    # composition bounds: each factor needs 1 <= w <= W, and r, n >= 1
+    for theorem, params in [
+        ("t2", dict(w_g=0, W_g=2, w_h=1, W_h=1)),
+        ("t2", dict(w_g=1, W_g=1, w_h=3, W_h=2)),
+        ("t12", dict(w_g=2, W_g=3, r=0)),
+        ("t12", dict(w_g=-1, W_g=3, r=2)),
+        ("t13", dict(w_g=2, W_g=3, r=-1)),
+        ("t14", dict(w_g=4, W_g=3, r=2)),
+        ("t16", dict(w_g=1, W_g=2, n=0)),
+        ("t17", dict(w_g=2, W_g=1, r=2, n=3)),
+        ("t17", dict(w_g=2, W_g=3, r=0, n=3)),
+        ("t17", dict(w_g=2, W_g=3, r=2, n=0)),
+    ]:
+        with pytest.raises(BadParameter):
+            gf.bound_report(theorem, **params)
 
 
 def test_bounds_agree_with_oracle_on_small_cases():

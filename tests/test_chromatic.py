@@ -248,3 +248,33 @@ def test_peel_coloring_pin():
         digest.update(repr(gf.bipartite_regular_coloring(g).colors).encode())
     assert len(graphs) == 81
     assert digest.hexdigest()[:16] == "b73df1aa51e4e3e5"
+
+
+def test_proper_search_tree_pin():
+    # the proper search's node counts, which exact_chromatic_index does not
+    # expose, at k = max degree and max degree + 1 on every non-empty atlas
+    # graph with at most 6 vertices plus K7, K9, Petersen and the 3x3 torus;
+    # a search over the budget records its node count and no coloring.
+    # Recorded while the search still kept per-color edge counts
+    nx = pytest.importorskip("networkx")
+    from gapfree.search import Budget, first_coloring
+
+    graphs = [
+        gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_edges() and a.number_of_nodes() <= 6
+    ]
+    graphs += [named("K", 7), named("K", 9), named("petersen"), named("torus", 3, 3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        order = _search_order(g)
+        for k in (g.max_degree, g.max_degree + 1):
+            budget = Budget(20_000)
+            try:
+                colors = first_coloring(g, order, k, budget, interval=False)
+                nodes = budget.used
+            except BudgetExceeded as exc:
+                colors, nodes = None, exc.nodes
+            digest.update(repr((k, nodes, colors)).encode())
+    assert len(graphs) == 206
+    assert digest.hexdigest()[:16] == "5e5baa72f9e55786"

@@ -654,6 +654,8 @@ TRANSCRIPT = [
      {}),
     ('bounds --theorem t8 --params n=2,k=2', 0, '24e3d58a7235b985', '',
      {}),
+    ('bounds --theorem t16 --params w_g=1,W_g=2,n=0', 3, '', 'd6d907f4a08fcecd',
+     {}),
     ('bounds --theorem t7 --json', 3, '', 'dca4a9744c5d4a81',
      {}),
     ('bounds --theorem t99', 3, '', 'd6f53d62e41fb966',
