@@ -63,6 +63,7 @@ from .oracle import (
     cross_validate,
     find_interval_coloring,
     oracle,
+    proven_ceiling,
     search_ceiling,
 )
 from .products import (
@@ -118,6 +119,7 @@ __all__ = [
     "load_coloring",
     "oracle",
     "product",
+    "proven_ceiling",
     "read_edge_list",
     "read_provenance",
     "regular_membership",

@@ -4,10 +4,16 @@ and greatest feasible color counts, and witness colorings.
 The search (gapfree.search) colors edges in BFS order. Colorings are probed
 for every t from the max degree up to a proven ceiling, so "no result" means
 "no such coloring exists", not "gave up" -- giving up is a distinct
-budget-exceeded state.
+budget-exceeded state. The ceiling starts at search_ceiling (2|V|-4, at most
+|E|); in a non-regular graph it drops to proven_ceiling's degree-path bound
+at the first t without a coloring: colors along a path rise by at most
+deg - 1 per vertex, so no interval coloring spans more colors than a
+component's paths allow.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
@@ -44,18 +50,81 @@ def find_interval_coloring(
 
 
 def search_ceiling(g: Graph) -> int:
-    """Largest t worth probing: the 2|V|-4 bound (2|V|-3 below 3 vertices),
-    never below the max degree, capped at |E| since every color needs an edge."""
+    """The ceiling that needs no path computation: the 2|V|-4 bound (2|V|-3
+    below 3 vertices), never below the max degree, capped at |E| since every
+    color needs an edge. oracle() probes up to it until its first absence."""
     raw = 2 * g.n - 4 if g.n >= 3 else 2 * g.n - 3
     return min(max(g.max_degree, raw), g.m)
+
+
+def _path_weights(g: Graph, weight: list[int], source: int) -> list[float]:
+    """D(source, y) for every vertex y: the least sum of weight over the
+    vertices of a source-y path, both ends included; inf off source's
+    component. Dijkstra with the weight of the vertex entered on each step."""
+    # imported here: every gapfree process imports this module at start-up
+    from heapq import heappop, heappush
+
+    dist = [inf] * g.n
+    dist[source] = weight[source]
+    heap = [(weight[source], source)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        for v in g.adjacency[u]:
+            dv = d + weight[v]
+            if dv < dist[v]:
+                dist[v] = dv
+                heappush(heap, (dv, v))
+    return dist
+
+
+def _degree_path_bound(g: Graph) -> int:
+    """Sum over connected components of 1 + max over edge pairs (e, f) of
+    min over x in e, y in f of D(x, y), with vertex weight deg - 1.
+
+    Along a path x0..xk from an end of e to an end of f, consecutive path
+    edges (and e at x0, f at xk) meet at a vertex whose colors form an
+    interval of deg colors, so they differ by at most deg - 1 there: the
+    colors of e and f differ by at most D(x0, xk). A component's colors
+    therefore fit in an interval of the returned per-component length, and
+    the components' colors together cover 1..t. Isolated vertices add 0.
+    """
+    weight = [d - 1 for d in g.degrees]
+    rows = [_path_weights(g, weight, v) if g.adjacency[v] else None for v in range(g.n)]
+    widest: dict[int, int] = {}  # per component, keyed by its least vertex
+    for a, b in g.edges:
+        near = list(map(min, rows[a], rows[b]))  # min over x in e of D(x, y)
+        root = next(y for y, d in enumerate(near) if d < inf)
+        gaps = [min(near[c], near[d]) for c, d in g.edges if near[c] < inf]
+        widest[root] = max(widest.get(root, 0), max(gaps))
+    return sum(1 + gap for gap in widest.values())
+
+
+def proven_ceiling(g: Graph) -> tuple[int, str]:
+    """The least proven upper bound on the t of any interval t-coloring, and
+    the rule that gave it: "degree-path" (_degree_path_bound, also on a tie)
+    or "2|V|-4" where search_ceiling is lower.
+
+    search_ceiling's |E| cap never wins: 1 + D over an induced path counts
+    the edges with an end on it. Costs a Dijkstra per vertex and a pass over
+    each component's edge pairs; oracle() pays it only once a probe has
+    proved absence.
+    """
+    path = _degree_path_bound(g)
+    ceiling = search_ceiling(g)
+    return (path, "degree-path") if path <= ceiling else (ceiling, "2|V|-4")
 
 
 def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact membership, least and greatest feasible t, and witnesses.
 
     For regular graphs the feasible t values form a contiguous range starting
-    at the max degree, so the scan stops at the first failure; non-regular
-    graphs get every t probed up to the ceiling.
+    at the max degree, so the scan stops at the first failure. Non-regular
+    graphs get every t probed up to search_ceiling until a probe proves
+    absence; from then on, up to proven_ceiling. So a graph colorable at
+    every t up to |E| (a path, say) never pays for the all-pairs paths, and
+    that computation spends no budget ticks.
     """
     if g.m == 0:
         return OracleResult(member=False, w=None, W=None, witnesses={})
@@ -64,15 +133,22 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
+    ceiling = search_ceiling(g)
+    lowered = False
+    t = g.max_degree
     try:
         # t runs from the max degree up to at most |E|, so none of
         # find_interval_coloring's early exits applies
-        for t in range(g.max_degree, search_ceiling(g) + 1):
+        while t <= ceiling:
             found = first_coloring(g, order, t, tracker, interval=True)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
             elif regular:
                 break
+            elif not lowered:
+                ceiling = proven_ceiling(g)[0]
+                lowered = True
+            t += 1
     except BudgetExceeded:
         # every t below the interrupted probe completed, so a found minimum
         # is the true least value; the rest stays unknown

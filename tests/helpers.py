@@ -182,12 +182,14 @@ def _naive_exists(g: gf.Graph, t: int) -> bool:
     return rec(0)
 
 
+@lru_cache(maxsize=None)
 def naive_oracle(g: gf.Graph) -> tuple[bool, Optional[int], Optional[int]]:
     """Slow reference verdict (member, least t, greatest t) for tiny graphs.
 
     Independent of the pruned search: different edge order, different color
     order, and only the trivial ceiling t <= |E|. Intended for cross-checking
-    in tests; cost grows violently past a dozen edges.
+    in tests; cost grows violently past a dozen edges, so verdicts are cached
+    for the session.
     """
     feasible = [t for t in range(1, g.m + 1) if _naive_exists(g, t)]
     if feasible:

@@ -536,7 +536,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, 'f834b5bfd69d618e', '',
+    ('oracle grid33.g', 0, '3a024cf8c7fe473d', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -548,7 +548,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'f834b5bfd69d618e', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '3a024cf8c7fe473d', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -36,6 +37,80 @@ def test_search_ceiling():
     assert gf.search_ceiling(named("K", 2)) == 1  # 2|V|-3 below 3 vertices
     assert gf.search_ceiling(named("K", 4)) == 4
     assert gf.search_ceiling(named("petersen")) == 15
+
+
+def _spider() -> gf.Graph:
+    # three legs of length 2 from vertex 0
+    return gf.build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+
+
+def test_proven_ceiling_pins():
+    tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
+    pins = [
+        (named("K", 4), (4, "2|V|-4")),  # W = 4, below the degree-path 5
+        (named("grid", 3, 3), (7, "degree-path")),
+        (named("grid", 3, 4), (9, "degree-path")),  # W = 8
+        (named("Q", 3), (7, "degree-path")),
+        (named("petersen"), (7, "degree-path")),
+        (tensor, (12, "degree-path")),
+        (named("torus", 4, 4), (13, "degree-path")),
+        (_spider(), (5, "degree-path")),  # W = 5 < |E| = 6: trees gain too
+        (gf.build_graph(4, [(0, 1), (2, 3)]), (2, "degree-path")),  # 1 per K2, summed
+        (named("K", 2), (1, "degree-path")),  # ties go to the degree-path rule
+        (named("nk1", 3), (0, "degree-path")),
+    ]
+    for g, want in pins:
+        assert gf.proven_ceiling(g) == want, g
+    assert oracle_cached(_spider()).W == 5
+
+
+def test_proven_ceiling_is_sound():
+    # the pruned search itself, not the oracle that stops at the ceiling,
+    # proves every t above it absent on the non-empty atlas graphs with at
+    # most 6 vertices; the |E| cap of search_ceiling never undercuts it
+    nx = pytest.importorskip("networkx")
+    probes = 0
+    for a in nx.graph_atlas_g():
+        if not a.number_of_edges() or a.number_of_nodes() > 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        ceiling, _ = gf.proven_ceiling(g)
+        assert ceiling <= g.m, g
+        for t in range(ceiling + 1, gf.search_ceiling(g) + 1):
+            assert gf.find_interval_coloring(g, t, 200_000) is None, (g, t)
+            probes += 1
+    assert probes == 175
+
+
+def test_naive_w_within_proven_ceiling():
+    # the reference with only the t <= |E| ceiling, on the atlas graphs with
+    # at most 6 edges
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        if not 0 < a.number_of_edges() <= 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        _, _, W = naive_oracle(g)
+        assert W is None or W <= gf.proven_ceiling(g)[0], g
+
+
+def test_path_never_computes_proven_ceiling(monkeypatch):
+    # every probe of P60 finds a coloring up to |E|, so no probe proves
+    # absence and the all-pairs paths are never paid for
+    module = importlib.import_module("gapfree.oracle")
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return gf.proven_ceiling(g)
+
+    monkeypatch.setattr(module, "proven_ceiling", counted)
+    path = named("P", 60)
+    result = gf.oracle(path)
+    assert (result.member, result.w, result.W, result.status) == (True, 2, 59, "complete")
+    assert calls == []
+    grid = named("grid", 3, 3)
+    assert gf.oracle(grid).W == 6 and calls == [grid]
 
 
 def test_oracle_k4():
@@ -210,10 +285,11 @@ def _witness_digest(witnesses) -> str:
 
 def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
-    # counts recorded with the reflection cut, which moves no witness
+    # counts recorded with the reflection cut and the degree-path ceiling,
+    # neither of which moves a witness
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 95060), "135f1f530daa57b5"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 34063), "135f1f530daa57b5"),
         (named("Q", 3), (True, 3, 6, "complete", 2710), "14ffcb31b319e9f5"),
         (named("petersen"), (False, None, None, "complete", 231), "4f53cda18c2baa0c"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "59dc31c5559d1e85"),
@@ -230,9 +306,9 @@ def test_search_tree_pins():
 def test_atlas_search_tree_pin():
     # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
     # budget that completes all of them: its verdicts and witnesses were
-    # recorded before the reflection cut, its node counts after. The chi'
-    # search runs at a budget that caps a few; recorded from the recursive
-    # search it replaced
+    # recorded before the reflection cut, its node counts after it and the
+    # degree-path ceiling. The chi' search runs at a budget that caps a few;
+    # recorded from the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
     node_digest = hashlib.sha256()
@@ -253,7 +329,7 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "04df74d30818c62c"
+    assert node_digest.hexdigest()[:16] == "4f1130fc92a3ee98"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
