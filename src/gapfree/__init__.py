@@ -5,6 +5,8 @@ of products from colorings of their factors, verify interval colorings, and
 cross-check everything against an exhaustive small-graph oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chromatic import (
     ChromaticIndexResult,
     bipartite_regular_coloring,
@@ -76,61 +78,8 @@ from .products import (
 )
 from .search import DEFAULT_BUDGET
 
-__all__ = [
-    "BadDims",
-    "BadN",
-    "BadParameter",
-    "BoundReport",
-    "BudgetExceeded",
-    "ChromaticIndexResult",
-    "ConstructionFailed",
-    "CrossCheckReport",
-    "DEFAULT_BUDGET",
-    "DuplicateEdge",
-    "EdgeColoring",
-    "EdgeOrigin",
-    "EmptyFactor",
-    "GapViolation",
-    "GapfreeError",
-    "Graph",
-    "IntervalReport",
-    "InvalidAlpha",
-    "LoopEdge",
-    "MissingParameter",
-    "NotBipartite",
-    "NotClass1",
-    "NotRegular",
-    "OracleResult",
-    "ProductGraph",
-    "ProductKind",
-    "PropernessViolation",
-    "VertexOutOfRange",
-    "bipartite_regular_coloring",
-    "bound_report",
-    "build_graph",
-    "cartesian_interval",
-    "cross_validate",
-    "exact_chromatic_index",
-    "find_interval_coloring",
-    "generate",
-    "is_bipartite",
-    "lex_empty_interval",
-    "lex_regular_interval",
-    "load_coloring",
-    "oracle",
-    "product",
-    "proven_ceiling",
-    "read_edge_list",
-    "read_provenance",
-    "regular_membership",
-    "search_ceiling",
-    "strong_interval",
-    "strong_tensor_interval",
-    "tensor_interval",
-    "to_dot",
-    "torus_hamming_membership",
-    "verify_interval",
-    "write_coloring",
-    "write_edge_list",
-    "write_provenance",
-]
+# the public names are every name bound here that is not private or a module
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -117,16 +117,15 @@ def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIn
     Only max degree and max degree + 1 are possible for simple graphs, so the
     search at max degree decides the class and the fallback always succeeds.
     Each search finds the first proper edge k-coloring in lexicographic order,
-    trying edges in descending degree-sum order, BFS rank breaking ties.
+    trying edges in descending degree-sum order, BFS order breaking ties.
     """
     delta = g.max_degree
     if g.m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
     tracker = Budget(budget)
-    rank = {e: i for i, e in enumerate(bfs_edge_order(g))}
+    # a stable sort keeps BFS order among equal degree sums
     order = sorted(
-        range(g.m),
-        key=lambda e: (-(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]]), rank[e]),
+        bfs_edge_order(g), key=lambda e: -(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]])
     )
     for k in (delta, delta + 1):
         if k * (g.n // 2) < g.m:

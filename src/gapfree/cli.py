@@ -68,11 +68,14 @@ def _parse_params(text: str | None) -> dict[str, int]:
     for chunk in text.split(","):
         if not chunk:
             continue
-        if "=" not in chunk:
+        key, eq, value = chunk.partition("=")
+        key = key.strip()
+        if not (eq and key):
             raise BadParameter(f"bad parameter {chunk!r}, expected key=value")
-        key, value = chunk.split("=", 1)
+        if key in out:
+            raise BadParameter(f"parameter {key!r} given twice")
         try:
-            out[key.strip()] = int(value)
+            out[key] = int(value)
         except ValueError:
             raise BadParameter(f"parameter {key!r} needs an integer value") from None
     return out
@@ -170,12 +173,12 @@ _THEOREMS = {
 
 def _cmd_construct(args) -> int:
     budget = _budget(args)
-    g = read_edge_list(args.left)
-    alpha = _get_alpha(g, args.left_coloring, budget)
     operand, compose = _THEOREMS[args.theorem]
     value = getattr(args, operand)
     if value is None:
         raise BadParameter(f"--{operand} is required for {args.theorem}")
+    g = read_edge_list(args.left)
+    alpha = _get_alpha(g, args.left_coloring, budget)
     if operand == "right":
         value = read_edge_list(value)
     prod, coloring = compose(g, alpha, value, args, budget)
@@ -227,6 +230,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params: dict = _parse_params(args.params)
+    for name in ("family", "dims"):
+        if name in params:
+            raise BadParameter(f"{name} is not an integer parameter; give it with --{name}")
     if args.family:
         params["family"] = args.family
     if args.dims:

@@ -329,6 +329,9 @@ def _req(params: dict, *names: str) -> list:
     missing = [name for name in names if name not in params]
     if missing:
         raise MissingParameter(f"missing parameter(s) {', '.join(missing)}")
+    unknown = [name for name in params if name not in names]
+    if unknown:
+        raise BadParameter(f"unknown parameter(s) {', '.join(map(repr, unknown))}")
     return [params[name] for name in names]
 
 
@@ -373,7 +376,8 @@ def _exact_delta(family: str, dims: Sequence[int]) -> int:
 
 
 def bound_report(theorem: str, **params) -> BoundReport:
-    """Evaluate one of the known bound formulas.
+    """Evaluate one of the known bound formulas; a missing parameter raises
+    MissingParameter, one the formula does not read BadParameter.
 
     Product composition bounds (w <= W per factor, r / n as needed; all >= 1):
       t2  cartesian      w <= w_g + w_h           W >= W_g + W_h

@@ -3,7 +3,8 @@
 Vertices are the integers 0..n-1. Edges are stored canonically: each pair with
 the smaller endpoint first, the whole list sorted, so an edge's position in the
 list is a stable id. Colorings elsewhere in the package are plain arrays
-indexed by these edge ids.
+indexed by these edge ids. One breadth-first walk gives the searches their
+edge order, is_bipartite its two sides and the oracle's bound its components.
 """
 
 from __future__ import annotations
@@ -165,38 +166,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(canon)))
 
 
-def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """BFS 2-coloring; returns (True, side-per-vertex) or (False, None)."""
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False, None
-    return True, tuple(side)
-
-
-def bfs_edge_order(g: Graph) -> tuple[int, ...]:
-    """Edge ids in BFS discovery order from vertex 0 (restarting per component).
-
-    Every edge appears once, listed when its earlier-dequeued endpoint is
-    processed; this gives the exhaustive searches good constraint locality.
-    """
+def _bfs_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """One breadth-first walk over every component, restarting at the least
+    unvisited vertex. Returns the edge ids in discovery order (each listed when
+    its earlier-dequeued endpoint is processed), each vertex's depth parity,
+    and each vertex's component root (the vertex its restart began from)."""
     order: list[int] = []
     listed = [False] * g.m
-    visited = [False] * g.n
+    side = [0] * g.n
+    root = [-1] * g.n
     for start in range(g.n):
-        if visited[start]:
+        if root[start] != -1:
             continue
-        visited[start] = True
+        root[start] = start
         queue = deque([start])
         while queue:
             u = queue.popleft()
@@ -204,10 +186,26 @@ def bfs_edge_order(g: Graph) -> tuple[int, ...]:
                 if not listed[e]:
                     listed[e] = True
                     order.append(e)
-                if not visited[w]:
-                    visited[w] = True
+                if root[w] == -1:
+                    root[w] = start
+                    side[w] = 1 - side[u]
                     queue.append(w)
-    return tuple(order)
+    return order, side, root
+
+
+def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """(True, side-per-vertex) when every edge joins vertices of unlike BFS
+    depth parity, which is exactly when g is bipartite; else (False, None)."""
+    side = _bfs_walk(g)[1]
+    if any(side[u] == side[v] for u, v in g.edges):
+        return False, None
+    return True, tuple(side)
+
+
+def bfs_edge_order(g: Graph) -> tuple[int, ...]:
+    """Edge ids in BFS discovery order from vertex 0, restarting per component:
+    the order that gives the exhaustive searches good constraint locality."""
+    return tuple(_bfs_walk(g)[0])
 
 
 def write_edge_list(path, g: Graph) -> None:

@@ -8,16 +8,17 @@ budget-exceeded state. The ceiling starts at search_ceiling (2|V|-4, at most
 |E|); in a non-regular graph it drops to proven_ceiling's degree-path bound
 at the first t without a coloring: colors along a path rise by at most
 deg - 1 per vertex, so no interval coloring spans more colors than a
-component's paths allow.
+component's paths allow; the BFS walk behind the edge order names them.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import inf
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
-from .graph import Graph, _Record, bfs_edge_order
+from .graph import Graph, _Record, _bfs_walk, bfs_edge_order
 from .search import DEFAULT_BUDGET, Budget, first_coloring
 
 COMPLETE = "complete"
@@ -60,7 +61,8 @@ def search_ceiling(g: Graph) -> int:
 def _path_weights(g: Graph, weight: list[int], source: int) -> list[float]:
     """D(source, y) for every vertex y: the least sum of weight over the
     vertices of a source-y path, both ends included; inf off source's
-    component. Dijkstra with the weight of the vertex entered on each step."""
+    component. Dijkstra where entering y costs weight[y] from any neighbour,
+    so y's first distance is final and each vertex is pushed once."""
     # imported here: every gapfree process imports this module at start-up
     from heapq import heappop, heappush
 
@@ -69,12 +71,9 @@ def _path_weights(g: Graph, weight: list[int], source: int) -> list[float]:
     heap = [(weight[source], source)]
     while heap:
         d, u = heappop(heap)
-        if d > dist[u]:
-            continue
         for v in g.adjacency[u]:
-            dv = d + weight[v]
-            if dv < dist[v]:
-                dist[v] = dv
+            if dist[v] == inf:
+                dist[v] = dv = d + weight[v]
                 heappush(heap, (dv, v))
     return dist
 
@@ -89,15 +88,16 @@ def _degree_path_bound(g: Graph) -> int:
     colors of e and f differ by at most D(x0, xk). A component's colors
     therefore fit in an interval of the returned per-component length, and
     the components' colors together cover 1..t. Isolated vertices add 0.
+    D is symmetric, so each unordered pair (with e = f) is visited once.
     """
     weight = [d - 1 for d in g.degrees]
     rows = [_path_weights(g, weight, v) if g.adjacency[v] else None for v in range(g.n)]
-    widest: dict[int, int] = {}  # per component, keyed by its least vertex
-    for a, b in g.edges:
+    root = _bfs_walk(g)[2]
+    widest: dict[int, int] = {}  # per component, keyed by its BFS root
+    for i, (a, b) in enumerate(g.edges):
         near = list(map(min, rows[a], rows[b]))  # min over x in e of D(x, y)
-        root = next(y for y, d in enumerate(near) if d < inf)
-        gaps = [min(near[c], near[d]) for c, d in g.edges if near[c] < inf]
-        widest[root] = max(widest.get(root, 0), max(gaps))
+        gaps = [min(near[c], near[d]) for c, d in islice(g.edges, i, None) if near[c] < inf]
+        widest[root[a]] = max(widest.get(root[a], 0), max(gaps))
     return sum(1 + gap for gap in widest.values())
 
 
@@ -108,8 +108,8 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
 
     search_ceiling's |E| cap never wins: 1 + D over an induced path counts
     the edges with an end on it. Costs a Dijkstra per vertex and a pass over
-    each component's edge pairs; oracle() pays it only once a probe has
-    proved absence.
+    each component's unordered edge pairs; oracle() pays it only once a probe
+    has proved absence.
     """
     path = _degree_path_bound(g)
     ceiling = search_ceiling(g)

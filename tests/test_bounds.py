@@ -77,6 +77,17 @@ def test_t3_out_of_scope_dims():
         gf.bound_report("t3", family="cylinder", dims=(2, 5))
     with pytest.raises(BadParameter):
         gf.bound_report("t3", family="torus", dims=(3, 4))
+    for family, dims in [
+        ("grid", ()),  # no dimension
+        ("grid", (0, 3)),  # a path needs length >= 1
+        ("cylinder", (2,)),
+        ("cylinder", (2, 4, 4)),
+        ("torus", (4,)),
+        ("torus", (4, 4, 4)),
+        ("hypercube", (3,)),  # no exact result for this family
+    ]:
+        with pytest.raises(BadParameter):
+            gf.bound_report("t3", family=family, dims=dims)
 
 
 def test_missing_parameter():
@@ -100,6 +111,12 @@ def test_formula_bad_ranges():
         gf.bound_report("t5", m=1, n=2)
     with pytest.raises(BadParameter):
         gf.bound_report("t6", n=0)
+    with pytest.raises(BadParameter):
+        gf.bound_report("t7", n=0)
+    with pytest.raises(BadParameter):
+        gf.bound_report("t8", n=0, k=1)
+    with pytest.raises(BadParameter):
+        gf.bound_report("t8", n=1, k=0)
     # composition bounds: each factor needs 1 <= w <= W, and r, n >= 1
     for theorem, params in [
         ("t2", dict(w_g=0, W_g=2, w_h=1, W_h=1)),
@@ -154,3 +171,40 @@ def test_composition_bounds_bracket_oracle_on_small_products():
         assert bracket.member, label
         assert bracket.w <= report.w_upper, label
         assert bracket.W >= report.W_lower, label
+
+
+def test_unknown_parameter():
+    # a name the formula does not read is an input error, not ignored
+    with pytest.raises(BadParameter, match="unknown parameter"):
+        gf.bound_report("t12", w_g=1, W_g=2, r=1, extra=3)
+    with pytest.raises(BadParameter, match="unknown parameter"):
+        gf.bound_report("t3", family="grid", dims=(3, 3), n=2)
+    with pytest.raises(BadParameter, match="unknown parameter"):
+        gf.bound_report("t7", n=2, **{"": 3})
+
+
+@pytest.mark.parametrize("argv", [
+    "--theorem t3 --family grid --params dims=3",  # dims is not an integer parameter
+    "--theorem t3 --params family=1,dims=2",
+    "--theorem t4 --params m=1,n=2,m=5",  # a repeated name
+    "--theorem t12 --params w_g=1,W_g=2,r=1,extra=3",  # an unknown name
+    "--theorem t12 --params w_g=1,W_g=2,r=1,=3",  # an empty name
+    "--theorem t7 --params n=2 --family grid",  # t7 reads no family
+])
+def test_cli_bad_params_exit_3(argv, capsys):
+    from gapfree.cli import run
+
+    assert run(["bounds", *argv.split()]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_params_skip_empty_chunks(capsys):
+    from gapfree.cli import run
+
+    assert run(["bounds", "--theorem", "t7", "--params", "n=2"]) == 0
+    want = capsys.readouterr().out
+    for params in ("n=2,", ",n=2", "n=2,,"):
+        assert run(["bounds", "--theorem", "t7", "--params", params]) == 0
+        assert capsys.readouterr().out == want

@@ -178,6 +178,8 @@ def test_regular_membership_examples():
     assert gf.regular_membership(named("torus", 3, 3)) is False
     with pytest.raises(NotRegular):
         gf.regular_membership(named("P", 4))
+    # 0-regular and vacuously class 1, but no coloring uses color 1
+    assert gf.regular_membership(named("nK1", 3)) is False
 
 
 def test_t33_is_class_2_with_witness_at_5():

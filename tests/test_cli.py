@@ -684,6 +684,22 @@ TRANSCRIPT = [
      {}),
     ('nope', 3, '', '8ff35796ecd85152',
      {}),
+    # bad bounds parameters are input errors; construct checks its operand
+    # before the oracle searches for a left colouring
+    ('bounds --theorem t3 --family grid --params dims=3', 3, '', 'd5f0a71a51fd6728',
+     {}),
+    ('bounds --theorem t3 --params family=1,dims=2', 3, '', '48c0c6e37059fece',
+     {}),
+    ('bounds --theorem t4 --params m=1,n=2,m=5', 3, '', '3b7b40499a9263d7',
+     {}),
+    ('bounds --theorem t12 --params w_g=1,W_g=2,r=1,extra=3', 3, '', '962792767c1b64a3',
+     {}),
+    ('bounds --theorem t12 --params w_g=1,W_g=2,r=1,=3', 3, '', 'cd9912a78fa990ca',
+     {}),
+    ('bounds --theorem t7 --params n=2,', 0, 'c5f0f1d1092152a9', '',
+     {}),
+    ('construct --theorem t12 --left grid33.g --out o.col --budget 10', 3, '', '2fd787a6575b2d41',
+     {}),
 ]
 
 
@@ -713,6 +729,24 @@ def _transcript_row(root, capsys, monkeypatch, line):
         if before.get(p.name) != p.read_bytes()
     }
     return code, _sha16(out.encode()), _sha16(err.encode()), written
+
+
+def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeypatch):
+    # a missing --right or --n is a usage error whatever the budget: no oracle run
+    import gapfree.cli
+
+    def no_search(*args):
+        raise AssertionError("the oracle ran before the operand check")
+
+    monkeypatch.setattr(gapfree.cli, "oracle", no_search)
+    left = tmp_path / "grid45.g"
+    gf.write_edge_list(left, gf.generate("grid", 4, 5))
+    for theorem, operand in (("t12", "right"), ("t17", "right"), ("t16w", "n")):
+        for budget in ("10", "2000000"):
+            code = run(["construct", "--theorem", theorem, "--left", str(left),
+                        "--budget", budget, "--out", str(tmp_path / "o.col")])
+            assert code == 3
+            assert capsys.readouterr().err == f"error: --{operand} is required for {theorem}\n"
 
 
 def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):

@@ -169,6 +169,8 @@ def test_total_coloring_required():
         gf.verify_interval(named("P", 4), gf.EdgeColoring((1,)), 1)
     with pytest.raises(ValueError):
         gf.EdgeColoring((0, 1))
+    with pytest.raises(ValueError, match=">= 0"):  # a negative declared count
+        gf.verify_interval(named("P", 2), gf.EdgeColoring((1,)), -1)
 
 
 def test_to_dot_requires_a_total_coloring():

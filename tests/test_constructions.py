@@ -368,3 +368,20 @@ def test_construction_pins():
                 digest.update(repr((prod.graph.n, prod.graph.edges, coloring.colors)).encode())
         got[theorem] = digest.hexdigest()[:16]
     assert got == pins
+
+
+def test_wrong_rule_color_is_refused(monkeypatch, tmp_path, capsys):
+    # a rule that colours every cross edge 1 must not ship its coloring
+    from gapfree import constructions
+    from gapfree.cli import run
+    from gapfree.errors import ConstructionFailed
+
+    monkeypatch.setattr(constructions, "_lex_cross_color", lambda *args: 1)
+    with pytest.raises(ConstructionFailed, match="invalid coloring"):
+        gf.lex_empty_interval(named("P", 3), gf.EdgeColoring((1, 2)), 2, "w")
+    gf.write_edge_list(tmp_path / "p3.g", named("P", 3))
+    out = tmp_path / "o.col"
+    code = run(["construct", "--theorem", "t16w", "--left", str(tmp_path / "p3.g"),
+                "--n", "2", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: lexicographic blow-up (w variant)")

@@ -270,6 +270,9 @@ def test_cross_validate_flags_contradiction():
     k4 = oracle_cached(named("K", 4))  # w=3, W=4
     too_few = gf.cross_validate(gf.EdgeColoring((1, 2)), k4)
     assert not too_few.consistent  # 2 colors is below the proven least 3
+    too_many = gf.cross_validate(gf.EdgeColoring((1, 2, 3, 4, 5, 6)), k4)
+    assert too_many.notes == ("construction count 6 exceeds oracle greatest count 4",)
+    assert not too_many.consistent
 
 
 def test_cross_validate_partial_note():
