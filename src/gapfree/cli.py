@@ -178,9 +178,9 @@ def _cmd_construct(args) -> int:
     if value is None:
         raise BadParameter(f"--{operand} is required for {args.theorem}")
     g = read_edge_list(args.left)
-    alpha = _get_alpha(g, args.left_coloring, budget)
     if operand == "right":
         value = read_edge_list(value)
+    alpha = _get_alpha(g, args.left_coloring, budget)
     prod, coloring = compose(g, alpha, value, args, budget)
     write_coloring(args.out, prod.graph, coloring)
     if args.product_out:

@@ -536,7 +536,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, '3a024cf8c7fe473d', '',
+    ('oracle grid33.g', 0, 'cf1cab8b005ae78a', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -548,7 +548,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '3a024cf8c7fe473d', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'cf1cab8b005ae78a', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),
@@ -747,6 +747,14 @@ def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeyp
                         "--budget", budget, "--out", str(tmp_path / "o.col")])
             assert code == 3
             assert capsys.readouterr().err == f"error: --{operand} is required for {theorem}\n"
+    # an unreadable right factor is an input error too, not an unknown verdict
+    missing = tmp_path / "missing.g"
+    for budget in ("10", "2000000"):
+        code = run(["construct", "--theorem", "t12", "--left", str(left), "--right",
+                    str(missing), "--budget", budget, "--out", str(tmp_path / "o.col")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):

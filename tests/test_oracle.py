@@ -288,14 +288,16 @@ def _witness_digest(witnesses) -> str:
 
 def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
-    # counts recorded with the reflection cut and the degree-path ceiling,
-    # neither of which moves a witness
+    # counts recorded with the reflection cut, the degree-path ceiling and the
+    # top-color cut, none of which moves a witness. The tensor product stays
+    # capped: the top-color cut reaches t = 10 within the budget, and its
+    # witnesses for t <= 9 are the ones recorded before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 34063), "135f1f530daa57b5"),
-        (named("Q", 3), (True, 3, 6, "complete", 2710), "14ffcb31b319e9f5"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 33380), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 1493), "14ffcb31b319e9f5"),
         (named("petersen"), (False, None, None, "complete", 231), "4f53cda18c2baa0c"),
-        (tensor, (True, 4, None, "budget_exceeded", 200001), "59dc31c5559d1e85"),
+        (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
     for g, verdict, digest in pins:
         result = gf.oracle(g, 200_000)
@@ -304,14 +306,17 @@ def test_search_tree_pins():
         assert _witness_digest(result.witnesses) == digest
         for t, witness in result.witnesses.items():
             assert gf.verify_interval(g, witness, t).valid
+    assert sorted(result.witnesses) == [4, 5, 6, 7, 8, 9, 10]
+    below_10 = {t: c for t, c in result.witnesses.items() if t < 10}
+    assert _witness_digest(below_10) == "59dc31c5559d1e85"
 
 
 def test_atlas_search_tree_pin():
     # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
     # budget that completes all of them: its verdicts and witnesses were
-    # recorded before the reflection cut, its node counts after it and the
-    # degree-path ceiling. The chi' search runs at a budget that caps a few;
-    # recorded from the recursive search it replaced
+    # recorded before the reflection cut, its node counts after it, the
+    # degree-path ceiling and the top-color cut. The chi' search runs at a
+    # budget that caps a few; recorded from the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
     node_digest = hashlib.sha256()
@@ -332,8 +337,35 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "4f1130fc92a3ee98"
+    assert node_digest.hexdigest()[:16] == "7ccfa0f4d7eee023"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
+
+
+def test_top_color_cut_skips_long_orders(monkeypatch):
+    # above TOP_CUT_EDGES edges the search keeps no masks and cuts no more:
+    # grid 3x4 then takes the nodes it took before the top-color cut
+    import gapfree.search
+
+    monkeypatch.setattr(gapfree.search, "TOP_CUT_EDGES", 16)  # grid 3x4 has 17
+    result = gf.oracle(named("grid", 3, 4), 200_000)
+    assert (result.W, result.nodes_explored) == (8, 34063)
+    assert _witness_digest(result.witnesses) == "135f1f530daa57b5"
+
+
+def test_top_color_cut_settles_a_capped_graph():
+    # networkx atlas graph 205: 6 vertices, 13 edges. Without the top-color
+    # cut 20k nodes run out at t = 8; the verdict and witnesses below were
+    # recorded without it at a budget that completes (27,482 nodes)
+    g = gf.build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
+                           (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    result = gf.oracle(g, 20_000)
+    assert (result.member, result.w, result.W, result.status) == (True, 5, 6, "complete")
+    assert {t: c.colors for t, c in result.witnesses.items()} == {
+        5: (1, 2, 3, 5, 4, 3, 5, 4, 2, 4, 1, 2, 3),
+        6: (1, 2, 3, 4, 5, 3, 5, 2, 4, 4, 5, 6, 3),
+    }
+    for t, witness in result.witnesses.items():
+        assert gf.verify_interval(g, witness, t).valid
 
 
 def test_budget_is_exact():
