@@ -30,7 +30,12 @@ class Budget:
 
 
 def first_coloring(
-    g: Graph, order: Sequence[int], k: int, budget: Budget, interval: bool
+    g: Graph,
+    order: Sequence[int],
+    k: int,
+    budget: Budget,
+    interval: bool,
+    window: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[int, ...] | None:
     """Colors by edge id of the first coloring with colors 1..k, or None if
     none exists.
@@ -48,13 +53,28 @@ def first_coloring(
     ascending order has the least first color, so it is never cut either: a
     search that finds one walks the same tree and returns the same coloring,
     and only a search that proves absence visits fewer nodes. The same holds
-    for the top-color cut: a vertex z is shut once it holds a color
-    c <= k - deg(z), since its deg(z) consecutive colors then end at or below
-    c + deg(z) - 1 <= k - 1; a node is cut, after its tick, when color k is
-    unused and every edge from it on has a shut end, as no completion can
-    place k (orders of up to TOP_CUT_EDGES edges). Over the 1,245 non-empty
-    networkx atlas graphs at 20k nodes each it cut oracle nodes from 6,714,904
-    to 5,056,534 and capped graphs from 192 to 123, with the same witnesses.
+    for every cut below, as each removes only subtrees without a coloring.
+
+    - Top color: a vertex z is shut once it holds a color c <= k - deg(z),
+      since its deg(z) consecutive colors then end at or below
+      c + deg(z) - 1 <= k - 1; a node is cut, after its tick, when color k is
+      unused and every edge from it on has a shut end, as no completion can
+      place k.
+    - Color 1, its mirror: z is shut from below once it holds a color
+      c >= deg(z) + 1, since its colors then start at c - deg(z) + 1 >= 2; a
+      node is cut when color 1 is unused and every edge from it on has an end
+      shut from below.
+    - `window`, optional: per edge id, the least and greatest color, within
+      1..k, that the edge takes in every interval k-coloring. It must be
+      symmetric under reflection (lo + hi = k + 1, or empty), so that the
+      reflection cut stays sound; the oracle's degree-path windows are.
+
+    Both reachability cuts run on orders of up to TOP_CUT_EDGES edges. Over
+    the 1,245 non-empty networkx atlas graphs at 20k nodes each, the top-color
+    cut took oracle nodes from 6,714,904 to 5,056,534; with the color-1 cut
+    and the oracle's windows and class-1 premise they take 3,382,157, with
+    the same witnesses.
+
     Otherwise the coloring must be proper, with new colors in first-use
     order (which breaks every color permutation already). Properness alone
     keeps each class a matching: one of n//2 edges covers n-1 vertices or
@@ -63,10 +83,10 @@ def first_coloring(
 
     Color c is bit c-1 of the masks kept per vertex (its colors) and per depth
     (colors used above it, candidates left); the interval search also keeps,
-    per depth, a mask over positions in `order` of the edges with no shut
-    end. Each node visited, the final leaf included, costs one budget tick;
-    ticks are settled into `budget` on return or once they pass its limit,
-    when Budget.spend raises BudgetExceeded.
+    per depth and cut, a mask over positions in `order` of the edges with no
+    shut end. Each node visited, the final leaf included, costs one budget
+    tick; ticks are settled into `budget` on return or once they pass its
+    limit, when Budget.spend raises BudgetExceeded.
     """
     m = len(order)
     ends = [g.edges[e] for e in order]
@@ -75,31 +95,45 @@ def first_coloring(
     palette = [0] * (m + 1)
     cands = [0] * m
     chosen = [0] * m
-    half = (k + 1) // 2  # reflection cut: the first edge's colors, interval search
     if interval:
-        # the edge "just colored" at the root: bit = 1 << k shuts nothing
-        u = v = 0
-        bit = 1 << k
+        # each position's least and greatest color; the first edge's top is
+        # the reflection cut's (k+1)//2
+        lo_at = [1] * m
+        hi_at = [k] * m
+        if window is not None:
+            for p, e in enumerate(order):
+                lo_at[p], hi_at[p] = window[e]
+        hi_at[0] = min(hi_at[0], (k + 1) // 2)
+        # the edge "just colored" at the root ends at a sentinel vertex g.n
+        # that no cut shuts
+        u = v = g.n
+        bit = 0
         if m <= TOP_CUT_EDGES:
             top = 1 << (k - 1)  # color k's bit
-            # bit < lim[z] = 1 << (k - deg z) tests c <= k - deg z, and
-            # clear[z] = ~(positions of z's edges), built only where lim[z] > 0
-            lim = [1 << (k - d) if d < k else 0 for d in deg]
-            clear = [-1] * g.n
+            first = 1  # color 1's bit
+            # bit < lim[z] = 1 << (k - deg z) tests c <= k - deg z, bit >=
+            # low[z] = 1 << deg z tests c >= deg z + 1, and clear[z] =
+            # ~(positions of z's edges), built only where either can hold;
+            # the sentinel's entries come last, and bit 0 passes neither test
+            lim = [1 << (k - d) if d < k else 0 for d in deg] + [0]
+            low = [1 << d for d in deg] + [1]
+            clear = [-1] * (g.n + 1)
             for p, (a, b) in enumerate(ends):
                 if lim[a]:
                     clear[a] ^= 1 << p
                 if lim[b]:
                     clear[b] ^= 1 << p
-            # opened[pos]: positions of the edges with no shut end once the
-            # edges before pos are colored. Node pos derives it from
-            # opened[pos - 1] and the edge just colored (u, v, bit); the root
-            # reads opened[-1], never written as pos == m returns first
+            # opened[pos] (below[pos]): positions of the edges with no end
+            # shut (from below) once the edges before pos are colored. Node
+            # pos derives it from opened[pos - 1] and the edge just colored
+            # (u, v, bit), but only while color k (color 1) is unused: the
+            # palette only grows along a path, so then node pos - 1 derived
+            # opened[pos - 1] on this path too. The root reads opened[-1],
+            # never written as pos == m returns first
             opened = [(1 << m) - 1] * (m + 1)
+            below = opened[:]
         else:
-            top = 0  # pal < top never holds
-            lim = [0] * g.n
-            opened = [0] * (m + 1)
+            top = first = 0  # pal < top and pal & 1 < first never hold
     left = budget.limit - budget.used
     nodes = pos = 0
     while True:
@@ -110,21 +144,29 @@ def first_coloring(
             return tuple(c.bit_length() for _, c in sorted(zip(order, chosen)))
         pal = palette[pos]
         if interval:
-            o = opened[pos - 1]
-            if bit < lim[u]:
-                o &= clear[u]
-            if bit < lim[v]:
-                o &= clear[v]
-            opened[pos] = o
-            if pal < top and not o >> pos:
-                # color k is unused and every edge left has a shut end
-                cand = 0
-            else:
+            live = 1
+            if pal < top:
+                o = opened[pos - 1]
+                if bit < lim[u]:
+                    o &= clear[u]
+                if bit < lim[v]:
+                    o &= clear[v]
+                opened[pos] = o
+                live = o >> pos  # 0: color k is unused and cannot be placed
+            if live and pal & 1 < first:
+                o = below[pos - 1]
+                if bit >= low[u]:
+                    o &= clear[u]
+                if bit >= low[v]:
+                    o &= clear[v]
+                below[pos] = o
+                live = o >> pos  # 0: color 1 is unused and cannot be placed
+            if live:
                 u, v = ends[pos]
                 x = used[u]
                 y = used[v]
-                lo = 1
-                hi = k if pos else half
+                lo = lo_at[pos]
+                hi = hi_at[pos]
                 if x:
                     b = x.bit_length() - deg[u] + 1
                     if b > lo:
@@ -144,6 +186,8 @@ def first_coloring(
                 if unused > m - pos - 1:
                     # only a color not used yet keeps the palette coverable
                     cand = cand & ~pal if unused == m - pos else 0
+            else:
+                cand = 0
         else:
             u, v = ends[pos]
             limit = pal.bit_length() + 1

@@ -454,7 +454,9 @@ def test_construct_output_pin_multi_digit(tmp_path, capsys, theorem, summary, wa
 # of every file the invocation created or changed. A leading NAME=value token
 # sets an environment variable for that row only. Recorded before the result
 # printing was folded into one helper; the rows whose stdout prints an oracle
-# node count were re-recorded after the interval search's reflection cut.
+# node count were re-recorded after the interval search's reflection cut, and
+# the c3.g and grid33.g oracle rows again after the overfull exit and the
+# color-1 cut (3 -> 0 and 1,909 -> 1,782 nodes).
 TRANSCRIPT_INPUTS = {
     "bad.g": "2 1\n0 z\n",
     "bad.col": "t=q\n0 0 1 1\n",
@@ -516,9 +518,9 @@ TRANSCRIPT = [
      {}),
     ('oracle k4.g --json', 0, 'f4415f1edfee9e67', '',
      {}),
-    ('oracle c3.g', 1, 'be900e25976a8d4d', '',
+    ('oracle c3.g', 1, 'c46914a7c5b2b161', '',
      {}),
-    ('oracle c3.g --json', 1, 'eb32a36a61508bea', '',
+    ('oracle c3.g --json', 1, 'fe117455802f4a47', '',
      {}),
     ('oracle e3.g', 1, 'c46914a7c5b2b161', '',
      {}),
@@ -536,7 +538,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, 'cf1cab8b005ae78a', '',
+    ('oracle grid33.g', 0, 'c58593c821c1f130', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -548,7 +550,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'cf1cab8b005ae78a', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'c58593c821c1f130', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),

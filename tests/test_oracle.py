@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+from math import gcd
 
 import pytest
 
@@ -96,15 +97,16 @@ def test_naive_w_within_proven_ceiling():
 
 def test_path_never_computes_proven_ceiling(monkeypatch):
     # every probe of P60 finds a coloring up to |E|, so no probe proves
-    # absence and the all-pairs paths are never paid for
+    # absence and the all-pairs paths behind proven_ceiling are never paid for
     module = importlib.import_module("gapfree.oracle")
     calls = []
+    pair_pass = module._degree_path_bound
 
     def counted(g):
         calls.append(g)
-        return gf.proven_ceiling(g)
+        return pair_pass(g)
 
-    monkeypatch.setattr(module, "proven_ceiling", counted)
+    monkeypatch.setattr(module, "_degree_path_bound", counted)
     path = named("P", 60)
     result = gf.oracle(path)
     assert (result.member, result.w, result.W, result.status) == (True, 2, 59, "complete")
@@ -288,14 +290,15 @@ def _witness_digest(witnesses) -> str:
 
 def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
-    # counts recorded with the reflection cut, the degree-path ceiling and the
-    # top-color cut, none of which moves a witness. The tensor product stays
+    # counts recorded with the reflection cut, the degree-path ceiling, the
+    # top-color and color-1 cuts, the degree-path windows and the class-1
+    # premise, none of which moves a witness. The tensor product stays
     # capped: the top-color cut reaches t = 10 within the budget, and its
     # witnesses for t <= 9 are the ones recorded before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 33380), "135f1f530daa57b5"),
-        (named("Q", 3), (True, 3, 6, "complete", 1493), "14ffcb31b319e9f5"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 33046), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 1006), "14ffcb31b319e9f5"),
         (named("petersen"), (False, None, None, "complete", 231), "4f53cda18c2baa0c"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
@@ -315,7 +318,8 @@ def test_atlas_search_tree_pin():
     # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
-    # degree-path ceiling and the top-color cut. The chi' search runs at a
+    # degree-path ceiling and windows, the top-color and color-1 cuts and the
+    # class-1 premise (90,022 nodes in all). The chi' search runs at a
     # budget that caps a few; recorded from the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
@@ -337,7 +341,7 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "7ccfa0f4d7eee023"
+    assert node_digest.hexdigest()[:16] == "e4e58885a12b4d00"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
@@ -421,3 +425,155 @@ def test_tensor_of_two_non_members_is_a_member():
         assert len(spec) == len(at_v) == g.degrees[v]
         assert spec == tuple(range(spec[0], spec[0] + len(spec)))
     assert set(witness.colors) == set(range(1, 9))
+
+
+def _small_atlas():
+    """Every non-empty networkx atlas graph on at most 6 vertices."""
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        if a.number_of_edges() and a.number_of_nodes() <= 6:
+            yield gf.build_graph(a.number_of_nodes(), list(a.edges()))
+
+
+def test_members_fold_to_class_1():
+    # the class-1 premise, checked on the data rather than through the oracle's
+    # shortcuts: each member's least witness, every color folded mod the max
+    # degree D, is a proper D-coloring
+    members = 0
+    for g in _small_atlas():
+        result = gf.oracle(g, 200_000)
+        assert result.status == "complete"
+        if not result.member:
+            continue
+        members += 1
+        delta = g.max_degree
+        folded = [(c - 1) % delta + 1 for c in result.witnesses[result.w].colors]
+        for v in range(g.n):
+            at_v = [folded[e] for e in g.incident[v]]
+            assert len(set(at_v)) == len(at_v), (g, v)
+        assert max(folded) <= delta
+    assert members == 174
+
+
+def _brute_eccentricities(g: gf.Graph) -> list[int]:
+    """ecc(e) = max over edges f of min over x in e, y in f of D(x, y), with D
+    the least vertex-weight sum (weight deg - 1, both ends included) of an
+    x-y path, by Floyd-Warshall; every edge of g must share one component."""
+    inf = float("inf")
+    weight = [d - 1 for d in g.degrees]
+    dist = [[inf] * g.n for _ in range(g.n)]
+    for x in range(g.n):
+        dist[x][x] = weight[x]
+    for x, y in g.edges:
+        dist[x][y] = dist[y][x] = weight[x] + weight[y]
+    for z in range(g.n):
+        for x in range(g.n):
+            for y in range(g.n):
+                # z counted once: it ends one part and starts the other
+                if dist[x][z] + dist[z][y] - weight[z] < dist[x][y]:
+                    dist[x][y] = dist[x][z] + dist[z][y] - weight[z]
+    return [
+        max(min(dist[x][y] for x in e for y in f) for f in g.edges)
+        for e in g.edges
+    ]
+
+
+def test_witnesses_lie_in_degree_path_windows():
+    # in a graph whose edges share one component, an interval t-coloring
+    # colors e within [t - ecc(e), 1 + ecc(e)]. The atlas witnesses (pinned
+    # by test_atlas_search_tree_pin since before the windows existed) are
+    # checked against eccentricities recomputed here by brute force
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for g in _small_atlas():
+        core = nx.Graph(g.edges)
+        if not nx.is_connected(core):
+            continue
+        ecc = _brute_eccentricities(g)
+        for t, witness in gf.oracle(g, 200_000).witnesses.items():
+            for e, c in enumerate(witness.colors):
+                assert t - ecc[e] <= c <= 1 + ecc[e], (g, t, e)
+            checked += 1
+    assert checked > 300
+
+
+def test_color_1_cut_settles_k6():
+    # K6 is networkx atlas graph 208. Without the color-1 cut 20k nodes run
+    # out at t = 7; the verdict and witnesses below were recorded without it
+    # at a budget that completes (29,702 nodes). K6 is regular, so neither
+    # the windows nor the class-2 search play a part
+    g = named("K", 6)
+    result = gf.oracle(g, 20_000)
+    assert (result.member, result.w, result.W, result.status) == (True, 5, 7, "complete")
+    assert {t: c.colors for t, c in result.witnesses.items()} == {
+        5: (1, 2, 3, 4, 5, 3, 4, 5, 2, 5, 1, 4, 2, 1, 3),
+        6: (1, 2, 3, 4, 5, 3, 4, 5, 2, 5, 1, 4, 2, 6, 3),
+        7: (1, 2, 3, 4, 5, 3, 4, 5, 2, 5, 6, 4, 7, 6, 3),
+    }
+    for t, witness in result.witnesses.items():
+        assert gf.verify_interval(g, witness, t).valid
+
+
+def test_kamalian_complete_bipartite():
+    # R. R. Kamalian (1989): K_{m,n} has w = m + n - gcd(m, n) and
+    # W = m + n - 1. K4,5 is left out: it takes about 1.2M nodes
+    pairs = [(m, n) for m in (1, 2, 3) for n in range(max(m, 2), 7) if m + n > 3]
+    pairs.append((4, 4))
+    assert len(pairs) == 14
+    for m, n in pairs:
+        g = gf.build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+        result = gf.oracle(g)
+        assert result.status == "complete"
+        assert (result.member, result.w, result.W) == (True, m + n - gcd(m, n), m + n - 1), (m, n)
+
+
+def _petersen_minus_vertex() -> gf.Graph:
+    return gf.build_graph(9, [(u - 1, v - 1) for u, v in named("petersen").edges if u])
+
+
+def test_overfull_graphs_search_nothing():
+    # an overfull component (|E(C)| > D(C) * floor(|V(C)| / 2)) rules out an
+    # interval coloring: both entry points return before their first node,
+    # which at budget 0 would raise BudgetExceeded
+    k3_and_star = gf.build_graph(9, [(0, 1), (0, 2), (1, 2)] + [(3, v) for v in range(4, 9)])
+    for g in (named("K", 3), named("K", 7), k3_and_star):
+        for t in range(g.max_degree, g.m + 1):
+            assert gf.find_interval_coloring(g, t, budget=0) is None, (g, t)
+        result = gf.oracle(g, budget=0)
+        assert (result.member, result.status, result.nodes_explored, result.premise) == (
+            False, "complete", 0, "overfull")
+    # whole, K3 + K1,5 is not overfull (8 edges, 5 * 4 allowed): only its
+    # triangle is, judged by its own max degree
+    assert k3_and_star.m <= k3_and_star.max_degree * (k3_and_star.n // 2)
+    with pytest.raises(BudgetExceeded):
+        gf.find_interval_coloring(named("P", 4), 3, budget=0)
+
+
+def test_class_2_search_settles_non_members(monkeypatch):
+    # Petersen minus a vertex is class 2 yet not overfull (12 edges, 3 * 4
+    # allowed): the proper 3-coloring search that follows the t = 3 absence
+    # proves it a non-member. K2,3 also has no interval 3-coloring, but is
+    # bipartite, hence class 1, so it skips that search
+    module = importlib.import_module("gapfree.oracle")
+    proper_searches = []
+    interval_search = module.first_coloring
+
+    def counted(g, order, k, budget, interval, window=None):
+        if not interval:
+            proper_searches.append(g)
+        return interval_search(g, order, k, budget, interval, window)
+
+    monkeypatch.setattr(module, "first_coloring", counted)
+    g = _petersen_minus_vertex()
+    assert g.m <= g.max_degree * (g.n // 2)
+    assert gf.exact_chromatic_index(g).chi_prime == 4
+    full = gf.oracle(g)
+    assert (full.member, full.status, full.premise) == (False, "complete", "class 2")
+    assert proper_searches == [g]
+    # a class-2 search that runs out of budget leaves the verdict unknown
+    cut = gf.oracle(g, budget=full.nodes_explored - 1)
+    assert (cut.member, cut.status, cut.premise) == (None, "budget_exceeded", None)
+    k23 = gf.build_graph(5, [(i, 2 + j) for i in range(2) for j in range(3)])
+    result = gf.oracle(k23)
+    assert (result.member, result.w, result.W, result.premise) == (True, 4, 4, None)
+    assert proper_searches == [g, g]

@@ -51,10 +51,10 @@ def _samples():
          (ProductKind.STRONG, 5, None, "Theorem 3"),
          "BoundReport(kind=<ProductKind.STRONG: 'strong'>, w_upper=4, W_lower=None, "
          "source='Theorem 3')"),
-        (OracleResult, lambda: (True, 2, 2, {2: gf.EdgeColoring((1, 2))}, 7, "complete"),
-         (True, 2, 2, {}, 7, "complete"),
+        (OracleResult, lambda: (True, 2, 2, {2: gf.EdgeColoring((1, 2))}, 7, "complete", None),
+         (True, 2, 2, {}, 7, "complete", None),
          "OracleResult(member=True, w=2, W=2, witnesses={2: EdgeColoring(colors=(1, 2))}, "
-         "nodes_explored=7, status='complete')"),
+         "nodes_explored=7, status='complete', premise=None)"),
         (CrossCheckReport, lambda: (True, 2, 2, 3, "complete", ("a note",)),
          (False, 2, 2, 3, "complete", ("a note",)),
          "CrossCheckReport(consistent=True, construction_t=2, oracle_w=2, oracle_W=3, "
