@@ -3,8 +3,9 @@
 Vertices are the integers 0..n-1. Edges are stored canonically: each pair with
 the smaller endpoint first, the whole list sorted, so an edge's position in the
 list is a stable id. Colorings elsewhere in the package are plain arrays
-indexed by these edge ids. One breadth-first walk gives the searches their
-edge order, is_bipartite its two sides and the oracle's bound its components.
+indexed by these edge ids. One breadth-first walk, made once per graph, gives
+the searches their edge order, is_bipartite its two sides and the oracle's
+bound its components.
 """
 
 from __future__ import annotations
@@ -127,6 +128,34 @@ class Graph(_Record):
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
+    @cached_property
+    def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """One breadth-first walk over every component, restarting at the
+        least unvisited vertex, made once per graph. Returns the edge ids in
+        discovery order (each listed when its earlier-dequeued endpoint is
+        processed), each vertex's depth parity, and each vertex's component
+        root (the vertex its restart began from)."""
+        order: list[int] = []
+        listed = [False] * len(self.edges)
+        side = [0] * self.n
+        root = [-1] * self.n
+        for start in range(self.n):
+            if root[start] != -1:
+                continue
+            root[start] = start
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                for w, e in zip(self.adjacency[u], self.incident[u]):
+                    if not listed[e]:
+                        listed[e] = True
+                        order.append(e)
+                    if root[w] == -1:
+                        root[w] = start
+                        side[w] = 1 - side[u]
+                        queue.append(w)
+        return tuple(order), tuple(side), tuple(root)
+
     @property
     def regularity(self) -> int | None:
         """The common degree r when every vertex has degree r, else None; 0
@@ -166,37 +195,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(sorted(canon)))
 
 
-def _bfs_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """One breadth-first walk over every component, restarting at the least
-    unvisited vertex. Returns the edge ids in discovery order (each listed when
-    its earlier-dequeued endpoint is processed), each vertex's depth parity,
-    and each vertex's component root (the vertex its restart began from)."""
-    order: list[int] = []
-    listed = [False] * g.m
-    side = [0] * g.n
-    root = [-1] * g.n
-    for start in range(g.n):
-        if root[start] != -1:
-            continue
-        root[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w, e in zip(g.adjacency[u], g.incident[u]):
-                if not listed[e]:
-                    listed[e] = True
-                    order.append(e)
-                if root[w] == -1:
-                    root[w] = start
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-    return order, side, root
-
-
 def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """(True, side-per-vertex) when every edge joins vertices of unlike BFS
     depth parity, which is exactly when g is bipartite; else (False, None)."""
-    side = _bfs_walk(g)[1]
+    side = g._walk[1]
     if any(side[u] == side[v] for u, v in g.edges):
         return False, None
     return True, tuple(side)
@@ -205,7 +207,122 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 def bfs_edge_order(g: Graph) -> tuple[int, ...]:
     """Edge ids in BFS discovery order from vertex 0, restarting per component:
     the order that gives the exhaustive searches good constraint locality."""
-    return tuple(_bfs_walk(g)[0])
+    return g._walk[0]
+
+
+def _refine(adj: tuple[tuple[int, ...], ...], colour: list[int]) -> list[int]:
+    """The stable colouring that colour refinement reaches from `colour`
+    (colours 0..n): each round, a vertex's new colour is the rank of (its
+    colour, the multiset of its neighbours' colours) among all vertices'.
+    Ranks depend on colours alone, so when a vertex bijection maps one
+    colouring onto another and preserves adjacency, it maps their refinements
+    onto each other too. A multiset is the sum of (n+1)**colour over it:
+    fewer than n+1 neighbours share a colour, so distinct multisets differ."""
+    n = len(colour)
+    weight = [(n + 1) ** k for k in range(n + 2)]
+    top = weight.pop()
+    count = len(set(colour))
+    while True:
+        sig = [c * top + sum([weight[colour[u]] for u in a]) for c, a in zip(colour, adj)]
+        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+
+
+def _split(adj: tuple[tuple[int, ...], ...], colour: list[int], v: int) -> list[int]:
+    """The stable colouring `colour`, whose ranks are all below n, refined
+    again once vertex v takes the fresh colour n."""
+    colour = colour[:]
+    colour[v] = len(colour)
+    return _refine(adj, colour)
+
+
+def _map_onto(g: Graph, edges: set, left: list[int], right: list[int]) -> list[int] | None:
+    """An automorphism s of g that maps the stable colouring `left` onto
+    `right` (right[s[v]] == left[v]), or None if there is none. Where a
+    colour holds several vertices, its least vertex on the left is
+    individualised against each vertex of that colour on the right in turn."""
+    if sorted(left) != sorted(right):
+        return None
+    seen: set[int] = set()
+    for c in left:
+        if c in seen:
+            break
+        seen.add(c)
+    else:  # discrete: the colours name the map
+        where = {c: v for v, c in enumerate(right)}
+        s = [where[c] for c in left]
+        if all((s[u], s[v]) in edges or (s[v], s[u]) in edges for u, v in g.edges):
+            return s
+        return None
+    x = left.index(c)  # the least vertex of the first colour that repeats
+    fixed = _split(g.adjacency, left, x)
+    for y, other in enumerate(right):
+        if other == c:
+            found = _map_onto(g, edges, fixed, _split(g.adjacency, right, y))
+            if found is not None:
+                return found
+    return None
+
+
+def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of g's automorphism group as edge permutations: entry e of
+    a generator is the id of the edge that edge e maps to. A generator that
+    fixes every edge (it swaps isolated vertices, or the ends of a K2
+    component) is dropped, so () means that no automorphism moves an edge.
+
+    Individualisation and refinement with backtracking over a stabiliser
+    chain. bases[i] is the stable colouring with 0..i-1 individualised in
+    turn, so every automorphism that fixes 0..i-1 keeps it; once one is
+    discrete, so are all later ones, and only the identity fixes them. Levels
+    run from the last vertex to the first. At level i, each w > i of i's
+    colour that is not yet in i's orbit under the generators found so far
+    (all of which fix 0..i-1) gets one search for an automorphism that fixes
+    0..i-1 and maps i to w, and each one found is kept. So each level's orbit
+    is complete, the vertex generators form a strong generating set, and they
+    generate the whole group.
+    """
+    n = g.n
+    adj = g.adjacency
+    edges = set(g.edges)
+    bases = [_refine(adj, [0] * n)]
+    while len(set(bases[-1])) < n:
+        bases.append(_split(adj, bases[-1], len(bases) - 1))
+    gens: list[list[int]] = []
+    for i in reversed(range(len(bases) - 1)):
+        base = bases[i]
+        orbit = {i}
+        for w in range(i + 1, n):
+            if base[w] == base[i] and w not in orbit:
+                found = _map_onto(g, edges, bases[i + 1], _split(adj, base, w))
+                if found is not None:
+                    gens.append(found)
+                    orbit = _orbit(i, gens)
+    ids = {e: k for k, e in enumerate(g.edges)}
+    still = tuple(range(g.m))
+    perms: list[tuple[int, ...]] = []
+    for s in gens:
+        perm = tuple([ids[(a, b) if a < b else (b, a)] for a, b in
+                      [(s[u], s[v]) for u, v in g.edges]])
+        if perm != still and perm not in perms:
+            perms.append(perm)
+    return tuple(perms)
+
+
+def _orbit(v: int, gens: list[list[int]]) -> set[int]:
+    """The orbit of vertex v under the group that the vertex permutations
+    `gens` generate."""
+    orbit = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for s in gens:
+            if s[u] not in orbit:
+                orbit.add(s[u])
+                stack.append(s[u])
+    return orbit
 
 
 def write_edge_list(path, g: Graph) -> None:

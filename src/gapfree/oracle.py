@@ -11,7 +11,9 @@ deg - 1 per vertex, so no interval coloring spans more colors than a
 component's paths allow; the BFS walk behind the edge order names them. The
 same path lengths confine each edge's color to a window, and the class-1
 premise (a member has chromatic index equal to its max degree) settles
-overfull and class-2 graphs without a scan.
+overfull and class-2 graphs without a scan. On small graphs, the
+automorphism generators let each probe skip colorings that a symmetry maps
+to a lexicographically lesser one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from itertools import islice
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
-from .graph import Graph, _Record, _bfs_walk, bfs_edge_order, is_bipartite
-from .search import DEFAULT_BUDGET, Budget, first_coloring
+from .graph import Graph, _automorphism_generators, _Record, bfs_edge_order, is_bipartite
+from .search import DEFAULT_BUDGET, SYMMETRY_VERTICES, Budget, first_coloring
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -52,8 +54,15 @@ def find_interval_coloring(
         # properness needs t >= max degree; using every color needs t <= |E|;
         # an overfull component has no interval coloring (see oracle)
         return None
-    found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True)
+    found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True,
+                           symmetries=_symmetries(g))
     return EdgeColoring(found) if found is not None else None
+
+
+def _symmetries(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The automorphism generators, as edge permutations, that the interval
+    probes' lex-leader cut reads: none above SYMMETRY_VERTICES vertices."""
+    return _automorphism_generators(g) if g.n <= SYMMETRY_VERTICES else ()
 
 
 def search_ceiling(g: Graph) -> int:
@@ -109,7 +118,7 @@ def _degree_path_bound(g: Graph) -> tuple[int, list[int] | None]:
         gaps = [min(near[c], near[d]) for c, d in islice(g.edges, i, None)]
         ecc[i:] = map(max, ecc[i:], gaps)  # gap(e, f) for every f >= e
         ecc[i] = max(ecc[i], max(gaps))
-    root = _bfs_walk(g)[2]
+    root = g._walk[2]
     widest: dict[int, int] = {}  # per component, keyed by its BFS root
     for (a, _), gap in zip(g.edges, ecc):
         widest[root[a]] = max(widest.get(root[a], 0), gap)
@@ -136,7 +145,7 @@ def _overfull(g: Graph) -> bool:
     """Whether a connected component C has more than D(C)*floor(|V(C)|/2)
     edges, D(C) its max degree: C is then class 2, as each of D(C) color
     classes is a matching of at most |V(C)|//2 edges."""
-    root = _bfs_walk(g)[2]
+    root = g._walk[2]
     size = [0] * g.n
     twice_m = [0] * g.n
     top = [0] * g.n
@@ -175,6 +184,13 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       eccentricities behind proven_ceiling, and one component holds every
       edge, every later probe confines edge e to the colors
       [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
+    - Lex-leader cut: on graphs with at most SYMMETRY_VERTICES vertices,
+      the automorphism generators are computed once per call (no budget
+      ticks) and every interval probe keeps only colorings that are not
+      lexicographically greater than their image under any of them (see
+      first_coloring). Each probe still returns its least coloring, so no
+      witness moves. The proper Delta-search gets none: its first-use color
+      order already breaks the color symmetry.
     """
     if g.m == 0:
         return OracleResult(member=False, w=None, W=None, witnesses={})
@@ -189,13 +205,15 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     ceiling = search_ceiling(g)
     lowered = False
     ecc = None
+    symmetries = _symmetries(g)
     t = g.max_degree
     try:
         # t runs from the max degree up to at most |E|, and no component is
         # overfull, so none of find_interval_coloring's early exits applies
         while t <= ceiling:
             window = None if ecc is None else [(max(1, t - d), min(t, 1 + d)) for d in ecc]
-            found = first_coloring(g, order, t, tracker, interval=True, window=window)
+            found = first_coloring(g, order, t, tracker, interval=True, window=window,
+                                   symmetries=symmetries)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
             elif regular:

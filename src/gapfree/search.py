@@ -12,6 +12,9 @@ DEFAULT_BUDGET = 10_000_000
 # the top-color cut keeps |V| + |E| masks of |E| bits; a longer order skips it
 # (on grid 80x80, 12,640 edges, it doubled the peak RSS of `oracle --t 6`)
 TOP_CUT_EDGES = 1024
+# the oracle computes automorphism generators for the lex-leader cut only on
+# graphs with at most this many vertices (K12 takes about 3 ms)
+SYMMETRY_VERTICES = 12
 
 
 class Budget:
@@ -36,6 +39,7 @@ def first_coloring(
     budget: Budget,
     interval: bool,
     window: Sequence[tuple[int, int]] | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
 ) -> tuple[int, ...] | None:
     """Colors by edge id of the first coloring with colors 1..k, or None if
     none exists.
@@ -51,9 +55,10 @@ def first_coloring(
     k-colorings onto each other: every first color above (k+1)//2 mirrors one
     at or below it, so the cut loses no coloring. The first coloring in
     ascending order has the least first color, so it is never cut either: a
-    search that finds one walks the same tree and returns the same coloring,
-    and only a search that proves absence visits fewer nodes. The same holds
-    for every cut below, as each removes only subtrees without a coloring.
+    search that finds one returns the same coloring, and only the nodes that
+    the cuts remove are saved. The same holds for every cut below: each
+    removes only subtrees without a coloring, except the lex-leader cut,
+    which keeps the least coloring.
 
     - Top color: a vertex z is shut once it holds a color c <= k - deg(z),
       since its deg(z) consecutive colors then end at or below
@@ -68,12 +73,27 @@ def first_coloring(
       1..k, that the edge takes in every interval k-coloring. It must be
       symmetric under reflection (lo + hi = k + 1, or empty), so that the
       reflection cut stays sound; the oracle's degree-path windows are.
+    - Lex-leader (Crawford, Ginsberg, Luks and Roy, KR 1996), with
+      `symmetries`, optional: automorphisms of g as edge permutations (entry
+      e is the edge that e maps to), read only with `interval` and an `order`
+      of every edge. A coloring a is kept only if a <= a o pi in position
+      order for every generator pi. Each comparison of a[p] with
+      a[img[p]], img[p] the position of pi(order[p]), is decided at the depth
+      that colors every position up to p and every image up to img[p];
+      ties[d], a mask like opened, holds the generators still equal there.
+      A node dies, after its tick, when a pending generator's first unequal
+      comparison has the lesser color at the image. Like reflection, this
+      cut drops colorings, but never the least one: a o pi is an interval
+      k-coloring too, so the least coloring is the least member of its
+      orbit, and the least coloring has the least first color. So every cut
+      here keeps it, and a search returns the same coloring with or without
+      any of them.
 
     Both reachability cuts run on orders of up to TOP_CUT_EDGES edges. Over
     the 1,245 non-empty networkx atlas graphs at 20k nodes each, the top-color
     cut took oracle nodes from 6,714,904 to 5,056,534; with the color-1 cut
-    and the oracle's windows and class-1 premise they take 3,382,157, with
-    the same witnesses.
+    and the oracle's windows and class-1 premise they take 3,382,157, and
+    with the lex-leader cut 1,998,222, with the same witnesses.
 
     Otherwise the coloring must be proper, with new colors in first-use
     order (which breaks every color permutation already). Properness alone
@@ -95,6 +115,10 @@ def first_coloring(
     palette = [0] * (m + 1)
     cands = [0] * m
     chosen = [0] * m
+    # stop[pos]: node pos returns a leaf or reads lex-leader comparisons
+    stop = [False] * m + [True]
+    checks: list = [None] * (m + 1)
+    live = 1  # a cut that kills a node sets 0; the dead node resets it
     if interval:
         # each position's least and greatest color; the first edge's top is
         # the reflection cut's (k+1)//2
@@ -129,23 +153,65 @@ def first_coloring(
             # (u, v, bit), but only while color k (color 1) is unused: the
             # palette only grows along a path, so then node pos - 1 derived
             # opened[pos - 1] on this path too. The root reads opened[-1],
-            # never written as pos == m returns first
+            # never written as a leaf returns or dies first
             opened = [(1 << m) - 1] * (m + 1)
             below = opened[:]
         else:
             top = first = 0  # pal < top and pal & 1 < first never hold
+        if symmetries:
+            # generator j (bit 1 << j) at position p compares chosen[p] with
+            # chosen[img[p]]; a comparison is decided at the depth that
+            # colors every position up to it and its image
+            at = [0] * g.m
+            for p, e in enumerate(order):
+                at[e] = p
+            tests: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
+            for j, perm in enumerate(symmetries):
+                reach = 0
+                for p, e in enumerate(order):
+                    q = at[perm[e]]
+                    reach = max(reach, p, q)
+                    if q != p:
+                        tests[reach + 1].append((1 << j, p, q))
+            # ties[d]: the generators still equal to the coloring up to depth
+            # d, written at depth d if it has tests; checks[d] = (the last
+            # depth before d with tests, or -1 for ties[-1], all generators
+            # pending; d's tests)
+            ties = [0] * m + [0, (1 << len(symmetries)) - 1]
+            prior = -1
+            for d, row in enumerate(tests):
+                if row:
+                    checks[d] = (prior, row)
+                    stop[d] = True
+                    prior = d
     left = budget.limit - budget.used
     nodes = pos = 0
     while True:
         nodes += 1
-        if nodes > left or pos == m:
-            budget.spend(nodes)
-            # at a leaf the palette rule has left no color unused
-            return tuple(c.bit_length() for _, c in sorted(zip(order, chosen)))
+        if nodes > left or stop[pos]:
+            if nodes > left:
+                budget.spend(nodes)  # raises: the limit is passed
+            if checks[pos]:
+                prior, row = checks[pos]
+                pend = ties[prior]
+                if pend:
+                    for b, p, q in row:
+                        if pend & b:
+                            x = chosen[p]
+                            y = chosen[q]
+                            if x != y:
+                                if y < x:  # the image is lexicographically less
+                                    live = 0
+                                    break
+                                pend ^= b
+                ties[pos] = pend
+            if live and pos == m:
+                budget.spend(nodes)
+                # at a leaf the palette rule has left no color unused
+                return tuple(c.bit_length() for _, c in sorted(zip(order, chosen)))
         pal = palette[pos]
         if interval:
-            live = 1
-            if pal < top:
+            if live and pal < top:
                 o = opened[pos - 1]
                 if bit < lim[u]:
                     o &= clear[u]
@@ -188,6 +254,7 @@ def first_coloring(
                     cand = cand & ~pal if unused == m - pos else 0
             else:
                 cand = 0
+                live = 1
         else:
             u, v = ends[pos]
             limit = pal.bit_length() + 1

@@ -456,7 +456,8 @@ def test_construct_output_pin_multi_digit(tmp_path, capsys, theorem, summary, wa
 # printing was folded into one helper; the rows whose stdout prints an oracle
 # node count were re-recorded after the interval search's reflection cut, and
 # the c3.g and grid33.g oracle rows again after the overfull exit and the
-# color-1 cut (3 -> 0 and 1,909 -> 1,782 nodes).
+# color-1 cut (3 -> 0 and 1,909 -> 1,782 nodes), and the grid33.g rows after
+# the lex-leader cut (1,782 -> 743 nodes).
 TRANSCRIPT_INPUTS = {
     "bad.g": "2 1\n0 z\n",
     "bad.col": "t=q\n0 0 1 1\n",
@@ -538,7 +539,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, 'c58593c821c1f130', '',
+    ('oracle grid33.g', 0, '1287ba0c691c5e5d', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -550,7 +551,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, 'c58593c821c1f130', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '1287ba0c691c5e5d', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),

@@ -10,7 +10,8 @@ from gapfree.errors import (
     LoopEdge,
     VertexOutOfRange,
 )
-from gapfree.graph import bfs_edge_order
+from gapfree.graph import _automorphism_generators, bfs_edge_order
+from gapfree.oracle import _symmetries
 
 from helpers import SEED, named
 
@@ -283,3 +284,82 @@ def test_generate_messages(family, params, message):
         gf.generate(family, *params)
     assert type(info.value) is BadParameter
     assert str(info.value) == message
+
+
+def _edge_group_order(generators, m: int) -> int:
+    """The order of the group of edge permutations the generators generate."""
+    identity = tuple(range(m))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for perm in generators:
+            b = tuple([perm[e] for e in a])
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return len(group)
+
+
+def _is_edge_automorphism(g: gf.Graph, perm) -> bool:
+    """Whether perm is a bijection of g's edge ids that keeps each edge's end
+    degrees and keeps two edges meeting exactly when their images meet."""
+    if sorted(perm) != list(range(g.m)):
+        return False
+    ends = [set(e) for e in g.edges]
+    degree_pair = [sorted(g.degrees[x] for x in e) for e in g.edges]
+    return all(degree_pair[perm[e]] == degree_pair[e] for e in range(g.m)) and all(
+        bool(ends[e] & ends[f]) == bool(ends[perm[e]] & ends[perm[f]])
+        for e in range(g.m) for f in range(e + 1, g.m)
+    )
+
+
+def test_automorphism_generators_generate_the_group():
+    # on every non-empty atlas graph with at most 6 vertices, each generator
+    # is an edge automorphism, none fixes every edge, and together they
+    # generate the permutations of the edges that networkx's matcher finds
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    counted = 0
+    for a in nx.graph_atlas_g():
+        if not a.number_of_edges() or a.number_of_nodes() > 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        ids = {e: k for k, e in enumerate(g.edges)}
+        induced = {
+            tuple(ids[tuple(sorted((s[u], s[v])))] for u, v in g.edges)
+            for s in GraphMatcher(a, a).isomorphisms_iter()
+        }
+        generators = _automorphism_generators(g)
+        assert tuple(range(g.m)) not in generators, g
+        for perm in generators:
+            assert _is_edge_automorphism(g, perm), (g, perm)
+        assert _edge_group_order(generators, g.m) == len(induced), g
+        counted += len(generators)
+    assert counted > 300
+
+
+def test_automorphism_generators_of_named_graphs():
+    # the Frucht graph is cubic and asymmetric; K_{1,3} plus an isolated
+    # vertex has S3 on its edges, and a K2 component's swap moves no edge
+    frucht = gf.build_graph(12, [
+        (0, 1), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 8), (3, 4), (3, 9),
+        (4, 5), (4, 9), (5, 6), (5, 10), (6, 10), (7, 11), (8, 9), (8, 11), (10, 11),
+    ])
+    assert frucht.regularity == 3 and _automorphism_generators(frucht) == ()
+    star = gf.build_graph(5, [(0, 1), (0, 2), (0, 3)])
+    assert _edge_group_order(_automorphism_generators(star), 3) == 6
+    assert _automorphism_generators(gf.build_graph(2, [(0, 1)])) == ()
+    assert _automorphism_generators(gf.build_graph(0, [])) == ()
+    assert _edge_group_order(_automorphism_generators(named("petersen")), 15) == 120
+
+
+def test_symmetries_stop_at_the_vertex_limit():
+    # the oracle asks for generators only up to SYMMETRY_VERTICES vertices
+    from gapfree.search import SYMMETRY_VERTICES
+
+    assert SYMMETRY_VERTICES == 12
+    assert _symmetries(named("C", 12)) == _automorphism_generators(named("C", 12)) != ()
+    assert _symmetries(named("C", 13)) == () != _automorphism_generators(named("C", 13))
+    assert _symmetries(named("grid", 4, 5)) == ()

@@ -291,15 +291,16 @@ def _witness_digest(witnesses) -> str:
 def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
     # counts recorded with the reflection cut, the degree-path ceiling, the
-    # top-color and color-1 cuts, the degree-path windows and the class-1
-    # premise, none of which moves a witness. The tensor product stays
-    # capped: the top-color cut reaches t = 10 within the budget, and its
-    # witnesses for t <= 9 are the ones recorded before it
+    # top-color and color-1 cuts, the degree-path windows, the class-1
+    # premise and the lex-leader cut, none of which moves a witness. The
+    # tensor product (20 vertices, above SYMMETRY_VERTICES) stays capped: the
+    # top-color cut reaches t = 10 within the budget, and its witnesses for
+    # t <= 9 are the ones recorded before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 33046), "135f1f530daa57b5"),
-        (named("Q", 3), (True, 3, 6, "complete", 1006), "14ffcb31b319e9f5"),
-        (named("petersen"), (False, None, None, "complete", 231), "4f53cda18c2baa0c"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 18482), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 197), "14ffcb31b319e9f5"),
+        (named("petersen"), (False, None, None, "complete", 38), "4f53cda18c2baa0c"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
     for g, verdict, digest in pins:
@@ -318,8 +319,8 @@ def test_atlas_search_tree_pin():
     # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
-    # degree-path ceiling and windows, the top-color and color-1 cuts and the
-    # class-1 premise (90,022 nodes in all). The chi' search runs at a
+    # degree-path ceiling and windows, the top-color and color-1 cuts, the
+    # class-1 premise and the lex-leader cut (32,533 nodes in all). The chi' search runs at a
     # budget that caps a few; recorded from the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
@@ -341,18 +342,19 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "e4e58885a12b4d00"
+    assert node_digest.hexdigest()[:16] == "b89bb101a0b6602c"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
 def test_top_color_cut_skips_long_orders(monkeypatch):
     # above TOP_CUT_EDGES edges the search keeps no masks and cuts no more:
-    # grid 3x4 then takes the nodes it took before the top-color cut
+    # grid 3x4 then takes the nodes it took before the top-color cut, with
+    # the lex-leader cut (34,063 without it)
     import gapfree.search
 
     monkeypatch.setattr(gapfree.search, "TOP_CUT_EDGES", 16)  # grid 3x4 has 17
     result = gf.oracle(named("grid", 3, 4), 200_000)
-    assert (result.W, result.nodes_explored) == (8, 34063)
+    assert (result.W, result.nodes_explored) == (8, 18815)
     assert _witness_digest(result.witnesses) == "135f1f530daa57b5"
 
 
@@ -516,10 +518,11 @@ def test_color_1_cut_settles_k6():
 
 def test_kamalian_complete_bipartite():
     # R. R. Kamalian (1989): K_{m,n} has w = m + n - gcd(m, n) and
-    # W = m + n - 1. K4,5 is left out: it takes about 1.2M nodes
+    # W = m + n - 1. The lex-leader cut settles K4,5 in 2,108 nodes and K4,6
+    # in 3,060 (1,242,379 and over 5M without it)
     pairs = [(m, n) for m in (1, 2, 3) for n in range(max(m, 2), 7) if m + n > 3]
-    pairs.append((4, 4))
-    assert len(pairs) == 14
+    pairs += [(4, 4), (4, 5), (4, 6)]
+    assert len(pairs) == 16
     for m, n in pairs:
         g = gf.build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
         result = gf.oracle(g)
@@ -558,10 +561,10 @@ def test_class_2_search_settles_non_members(monkeypatch):
     proper_searches = []
     interval_search = module.first_coloring
 
-    def counted(g, order, k, budget, interval, window=None):
+    def counted(g, order, k, budget, interval, **cuts):
         if not interval:
             proper_searches.append(g)
-        return interval_search(g, order, k, budget, interval, window)
+        return interval_search(g, order, k, budget, interval, **cuts)
 
     monkeypatch.setattr(module, "first_coloring", counted)
     g = _petersen_minus_vertex()
