@@ -289,7 +289,11 @@ def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     edges = set(g.edges)
     bases = [_refine(adj, [0] * n)]
     while len(set(bases[-1])) < n:
-        bases.append(_split(adj, bases[-1], len(bases) - 1))
+        base = bases[-1]
+        i = len(bases) - 1
+        # a vertex already alone in its cell is fixed: splitting it off
+        # refines nothing
+        bases.append(base if base.count(base[i]) == 1 else _split(adj, base, i))
     gens: list[list[int]] = []
     for i in reversed(range(len(bases) - 1)):
         base = bases[i]

@@ -101,17 +101,30 @@ def first_coloring(
     more, so no edge left can take its color. Only exact_chromatic_index's
     skip reads the n//2 bound.
 
-    Color c is bit c-1 of the masks kept per vertex (its colors) and per depth
-    (colors used above it, candidates left); the interval search also keeps,
-    per depth and cut, a mask over positions in `order` of the edges with no
-    shut end. Each node visited, the final leaf included, costs one budget
-    tick; ticks are settled into `budget` on return or once they pass its
-    limit, when Budget.spend raises BudgetExceeded.
+    Color c is bit c-1 of every color mask. Each vertex z keeps allow[z],
+    the colors it may still take: 1..k less the colors z holds, and in the
+    interval search only those in [max - deg(z) + 1, min + deg(z) - 1], for
+    min and max the least and greatest colors z holds. Coloring an edge with
+    c ANDs into each end's mask row c of the table for that end's degree
+    (the proper search clears c), and the backtrack restores both ends from
+    the pair saved at that depth. A node's candidates are allow[u] &
+    allow[v] & its position's window mask (the proper search: & colors
+    1..j+1 of a palette 1..j), and the cuts read one bit: while color k (1)
+    is unused, z is shut (from below) exactly when allow[z] lacks k (1). Per
+    depth the search also keeps the colors used above it and the candidates
+    left, and the interval search, per cut, a mask over positions in `order`
+    of the edges with no shut end. Each node visited, the final leaf
+    included, costs one budget tick; ticks are settled into `budget` on
+    return or once they pass its limit, when Budget.spend raises
+    BudgetExceeded.
     """
     m = len(order)
     ends = [g.edges[e] for e in order]
-    deg = g.degrees
-    used = [0] * g.n
+    full = (1 << k) - 1
+    # allow[z]: the colors z may still take; the sentinel g.n keeps them all
+    allow = [full] * (g.n + 1)
+    xs = [0] * m  # allow[u] and allow[v] before position p was colored
+    ys = [0] * m
     palette = [0] * (m + 1)
     cands = [0] * m
     chosen = [0] * m
@@ -120,40 +133,39 @@ def first_coloring(
     checks: list = [None] * (m + 1)
     live = 1  # a cut that kills a node sets 0; the dead node resets it
     if interval:
-        # each position's least and greatest color; the first edge's top is
-        # the reflection cut's (k+1)//2
-        lo_at = [1] * m
-        hi_at = [k] * m
+        # near_of[z][c]: the colors that z, once it holds c, may still take
+        # (isolated vertices get None: they hold no edge)
+        tables = {d: _near(d, k) for d in set(g.degrees) - {0}}
+        near_of = list(map(tables.get, g.degrees))
+        # span[p]: the colors of position p's window; the first edge's top
+        # is the reflection cut's (k+1)//2
+        span = [full] * m
         if window is not None:
             for p, e in enumerate(order):
-                lo_at[p], hi_at[p] = window[e]
-        hi_at[0] = min(hi_at[0], (k + 1) // 2)
-        # the edge "just colored" at the root ends at a sentinel vertex g.n
-        # that no cut shuts
+                lo, hi = window[e]
+                span[p] = (1 << hi) - (1 << (lo - 1)) if lo <= hi else 0
+        span[0] &= (1 << (k + 1) // 2) - 1
+        # need[p]: the palette rule fires at p when fewer than need[p] colors
+        # are used, as k - used colors then outnumber the m - p - 1 edges
+        # after p
+        need = range(k - m + 1, k + 1)
+        # the edge "just colored" at the root ends at the sentinel
         u = v = g.n
-        bit = 0
         if m <= TOP_CUT_EDGES:
             top = 1 << (k - 1)  # color k's bit
             first = 1  # color 1's bit
-            # bit < lim[z] = 1 << (k - deg z) tests c <= k - deg z, bit >=
-            # low[z] = 1 << deg z tests c >= deg z + 1, and clear[z] =
-            # ~(positions of z's edges), built only where either can hold;
-            # the sentinel's entries come last, and bit 0 passes neither test
-            lim = [1 << (k - d) if d < k else 0 for d in deg] + [0]
-            low = [1 << d for d in deg] + [1]
+            # clear[z] = ~(positions of z's edges); the sentinel's comes last
             clear = [-1] * (g.n + 1)
             for p, (a, b) in enumerate(ends):
-                if lim[a]:
-                    clear[a] ^= 1 << p
-                if lim[b]:
-                    clear[b] ^= 1 << p
+                clear[a] ^= 1 << p
+                clear[b] ^= 1 << p
             # opened[pos] (below[pos]): positions of the edges with no end
             # shut (from below) once the edges before pos are colored. Node
-            # pos derives it from opened[pos - 1] and the edge just colored
-            # (u, v, bit), but only while color k (color 1) is unused: the
-            # palette only grows along a path, so then node pos - 1 derived
-            # opened[pos - 1] on this path too. The root reads opened[-1],
-            # never written as a leaf returns or dies first
+            # pos derives it from opened[pos - 1] and the ends (u, v) of the
+            # edge just colored, but only while color k (color 1) is unused:
+            # the palette only grows along a path, so then node pos - 1
+            # derived opened[pos - 1] on this path too. The root reads
+            # opened[-1], never written as a leaf returns or dies first
             opened = [(1 << m) - 1] * (m + 1)
             below = opened[:]
         else:
@@ -213,68 +225,74 @@ def first_coloring(
         if interval:
             if live and pal < top:
                 o = opened[pos - 1]
-                if bit < lim[u]:
+                if not allow[u] & top:
                     o &= clear[u]
-                if bit < lim[v]:
+                if not allow[v] & top:
                     o &= clear[v]
                 opened[pos] = o
                 live = o >> pos  # 0: color k is unused and cannot be placed
             if live and pal & 1 < first:
                 o = below[pos - 1]
-                if bit >= low[u]:
+                if not allow[u] & 1:
                     o &= clear[u]
-                if bit >= low[v]:
+                if not allow[v] & 1:
                     o &= clear[v]
                 below[pos] = o
                 live = o >> pos  # 0: color 1 is unused and cannot be placed
             if live:
                 u, v = ends[pos]
-                x = used[u]
-                y = used[v]
-                lo = lo_at[pos]
-                hi = hi_at[pos]
-                if x:
-                    b = x.bit_length() - deg[u] + 1
-                    if b > lo:
-                        lo = b
-                    b = (x & -x).bit_length() + deg[u] - 1
-                    if b < hi:
-                        hi = b
-                if y:
-                    b = y.bit_length() - deg[v] + 1
-                    if b > lo:
-                        lo = b
-                    b = (y & -y).bit_length() + deg[v] - 1
-                    if b < hi:
-                        hi = b
-                cand = ((1 << hi) - (1 << (lo - 1))) & ~(x | y) if lo <= hi else 0
-                unused = k - pal.bit_count()
-                if unused > m - pos - 1:
+                x = xs[pos] = allow[u]
+                y = ys[pos] = allow[v]
+                cand = x & y & span[pos]
+                short = need[pos] - pal.bit_count()
+                if short > 0:
                     # only a color not used yet keeps the palette coverable
-                    cand = cand & ~pal if unused == m - pos else 0
+                    cand = cand & ~pal if short == 1 else 0
             else:
                 cand = 0
                 live = 1
         else:
             u, v = ends[pos]
-            limit = pal.bit_length() + 1
-            if limit > k:
-                limit = k
-            cand = ((1 << limit) - 1) & ~(used[u] | used[v])
+            x = xs[pos] = allow[u]
+            y = ys[pos] = allow[v]
+            # first-use order keeps the palette a prefix 1..j: try 1..j+1
+            cand = (pal << 1 | 1) & x & y
         while not cand:
             pos -= 1
             if pos < 0:
                 budget.spend(nodes)
                 return None
             u, v = ends[pos]
-            bit = chosen[pos]
-            used[u] ^= bit
-            used[v] ^= bit
+            x = allow[u] = xs[pos]
+            y = allow[v] = ys[pos]
             cand = cands[pos]
         bit = cand & -cand
         cands[pos] = cand ^ bit
         chosen[pos] = bit
-        used[u] |= bit
-        used[v] |= bit
+        if interval:
+            c = bit.bit_length()
+            allow[u] = x & near_of[u][c]
+            allow[v] = y & near_of[v][c]
+        else:
+            allow[u] = x ^ bit
+            allow[v] = y ^ bit
         pos += 1
         palette[pos] = palette[pos - 1] | bit
+
+
+_near_tables: dict[int, list[int]] = {}
+
+
+def _near(d: int, k: int) -> list[int]:
+    """Entry c, for c in 1..k at least: the colors within d - 1 of c, but not
+    c, as a mask (color 1 is bit 0); entry 0 is unused. A vertex of degree
+    d >= 1 that holds c may take only these colors next. The entries are
+    independent of k, since they are ANDed into masks within 1..k, so each
+    degree keeps one table for the life of the process, rebuilt when a
+    larger k asks for it: building the tables per call added about 40% to
+    the set-up of a probe on a small graph."""
+    table = _near_tables.get(d)
+    if table is None or len(table) <= k:
+        mask = (1 << 2 * d - 1) - 1 ^ 1 << d - 1  # bits 0..2d-2 but the middle
+        table = _near_tables[d] = [0] + [(mask << c) >> d for c in range(1, k + 1)]
+    return table

@@ -363,3 +363,20 @@ def test_symmetries_stop_at_the_vertex_limit():
     assert _symmetries(named("C", 12)) == _automorphism_generators(named("C", 12)) != ()
     assert _symmetries(named("C", 13)) == () != _automorphism_generators(named("C", 13))
     assert _symmetries(named("grid", 4, 5)) == ()
+
+
+def test_automorphism_generator_pin():
+    # the lex-leader cut's node counts depend on the generator list and its
+    # order, so the generators themselves are pinned: over every non-empty
+    # atlas graph on at most 6 vertices, then Petersen, Q3, grid 3x4 and K4,5
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_edges() and a.number_of_nodes() <= 6
+    ]
+    graphs += [named("petersen"), named("Q", 3), named("grid", 3, 4), named("kmn", 4, 5)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(_automorphism_generators(g)).encode() + b";")
+    assert digest.hexdigest()[:16] == "2ec087d232d78e6c"

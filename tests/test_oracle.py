@@ -346,6 +346,36 @@ def test_atlas_search_tree_pin():
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
+def test_allowed_color_masks():
+    # the search keeps, per vertex, the colors it may still take: 1..k ANDed
+    # with the near-table row of each color it holds. For held colors X at a
+    # vertex of degree d that must equal the interval rule,
+    # [max X - d + 1, min X + d - 1] within 1..k, less X, or the search tree
+    # would change. The proper search clears each held color
+    from itertools import combinations
+
+    from gapfree.search import _near
+
+    def colors(lo, hi, k):
+        return set(range(max(lo, 1), min(hi, k) + 1))
+
+    def mask(cs):
+        return sum(1 << (c - 1) for c in cs)
+
+    for d in range(1, 7):
+        for k in range(1, 11):
+            near = _near(d, k)
+            for size in range(1, min(d, k) + 1):
+                for held in combinations(range(1, k + 1), size):
+                    interval = proper = (1 << k) - 1
+                    for c in held:
+                        interval &= near[c]
+                        proper ^= 1 << (c - 1)
+                    window = colors(max(held) - d + 1, min(held) + d - 1, k)
+                    assert interval == mask(window - set(held)), (d, k, held)
+                    assert proper == mask(colors(1, k, k) - set(held)), (k, held)
+
+
 def test_top_color_cut_skips_long_orders(monkeypatch):
     # above TOP_CUT_EDGES edges the search keeps no masks and cuts no more:
     # grid 3x4 then takes the nodes it took before the top-color cut, with
