@@ -210,6 +210,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.out is not None and args.t is None:
+        raise BadParameter("--out needs --t: only a single-t probe writes a witness")
     g = read_edge_list(args.graph)
     budget = _budget(args)
     if args.t is not None:

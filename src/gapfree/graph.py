@@ -5,7 +5,7 @@ the smaller endpoint first, the whole list sorted, so an edge's position in the
 list is a stable id. Colorings elsewhere in the package are plain arrays
 indexed by these edge ids. One breadth-first walk, made once per graph, gives
 the searches their edge order, is_bipartite its two sides and the oracle's
-bound its components.
+bound its components; the lex-leader cut's generators are cached likewise.
 """
 
 from __future__ import annotations
@@ -156,6 +156,11 @@ class Graph(_Record):
                         queue.append(w)
         return tuple(order), tuple(side), tuple(root)
 
+    @cached_property
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """_automorphism_generators(self), computed once per graph."""
+        return _automorphism_generators(self)
+
     @property
     def regularity(self) -> int | None:
         """The common degree r when every vertex has degree r, else None; 0
@@ -305,7 +310,8 @@ def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
                     gens.append(found)
                     orbit = _orbit(i, gens)
     ids = {e: k for k, e in enumerate(g.edges)}
-    still = tuple(range(g.m))
+    # not g.m: a cached property of Graph reads only fields and cached properties
+    still = tuple(range(len(g.edges)))
     perms: list[tuple[int, ...]] = []
     for s in gens:
         perm = tuple([ids[(a, b) if a < b else (b, a)] for a, b in

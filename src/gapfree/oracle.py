@@ -9,11 +9,11 @@ budget-exceeded state. The ceiling starts at search_ceiling (2|V|-4, at most
 at the first t without a coloring: colors along a path rise by at most
 deg - 1 per vertex, so no interval coloring spans more colors than a
 component's paths allow; the BFS walk behind the edge order names them. The
-same path lengths confine each edge's color to a window, and the class-1
-premise (a member has chromatic index equal to its max degree) settles
-overfull and class-2 graphs without a scan. On small graphs, the
-automorphism generators let each probe skip colorings that a symmetry maps
-to a lexicographically lesser one.
+same path lengths, handed to the search as each edge's eccentricity, confine
+each edge's color to a window, and the class-1 premise (a member has
+chromatic index equal to its max degree) settles overfull and class-2
+graphs without a scan. On small graphs the search also skips, by itself,
+colorings that a symmetry maps to a lexicographically lesser one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from itertools import islice
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
-from .graph import Graph, _automorphism_generators, _Record, bfs_edge_order, is_bipartite
-from .search import DEFAULT_BUDGET, SYMMETRY_VERTICES, Budget, first_coloring
+from .graph import Graph, _Record, bfs_edge_order, is_bipartite
+from .search import DEFAULT_BUDGET, Budget, first_coloring
 
 COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -54,15 +54,8 @@ def find_interval_coloring(
         # properness needs t >= max degree; using every color needs t <= |E|;
         # an overfull component has no interval coloring (see oracle)
         return None
-    found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True,
-                           symmetries=_symmetries(g))
+    found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True)
     return EdgeColoring(found) if found is not None else None
-
-
-def _symmetries(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The automorphism generators, as edge permutations, that the interval
-    probes' lex-leader cut reads: none above SYMMETRY_VERTICES vertices."""
-    return _automorphism_generators(g) if g.n <= SYMMETRY_VERTICES else ()
 
 
 def search_ceiling(g: Graph) -> int:
@@ -136,7 +129,11 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
     the unordered edge pairs; oracle() pays it only once a probe has proved
     absence.
     """
-    path = _degree_path_bound(g)[0]
+    return _ceiling(g, _degree_path_bound(g)[0])
+
+
+def _ceiling(g: Graph, path: int) -> tuple[int, str]:
+    """proven_ceiling(g), given its degree-path bound `path`."""
     ceiling = search_ceiling(g)
     return (path, "degree-path") if path <= ceiling else (ceiling, "2|V|-4")
 
@@ -182,15 +179,15 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       premise names the rule that settled a non-member this way.
     - Degree-path windows: once the first absence has computed the
       eccentricities behind proven_ceiling, and one component holds every
-      edge, every later probe confines edge e to the colors
-      [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
-    - Lex-leader cut: on graphs with at most SYMMETRY_VERTICES vertices,
-      the automorphism generators are computed once per call (no budget
-      ticks) and every interval probe keeps only colorings that are not
-      lexicographically greater than their image under any of them (see
-      first_coloring). Each probe still returns its least coloring, so no
-      witness moves. The proper Delta-search gets none: its first-use color
-      order already breaks the color symmetry.
+      edge, every later probe passes them to the search, which confines
+      edge e to the colors [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
+
+    On graphs with at most SYMMETRY_VERTICES vertices the search applies
+    the lex-leader cut to every interval probe by itself (see
+    first_coloring), from automorphism generators computed once per graph
+    with no budget ticks. Each probe still returns its least coloring, so no
+    witness moves. The proper Delta-search gets none: its first-use color
+    order already breaks the color symmetry.
     """
     if g.m == 0:
         return OracleResult(member=False, w=None, W=None, witnesses={})
@@ -203,29 +200,24 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     status = COMPLETE
     premise = None
     ceiling = search_ceiling(g)
-    lowered = False
-    ecc = None
-    symmetries = _symmetries(g)
+    path = ecc = None  # the degree-path bound, paid for at the first absence
     t = g.max_degree
     try:
         # t runs from the max degree up to at most |E|, and no component is
         # overfull, so none of find_interval_coloring's early exits applies
         while t <= ceiling:
-            window = None if ecc is None else [(max(1, t - d), min(t, 1 + d)) for d in ecc]
-            found = first_coloring(g, order, t, tracker, interval=True, window=window,
-                                   symmetries=symmetries)
+            found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
             elif regular:
                 break
-            elif not lowered:
-                lowered = True
+            elif path is None:
                 if (not witnesses and not is_bipartite(g)[0]
                         and first_coloring(g, order, t, tracker, interval=False) is None):
                     premise = CLASS_2
                     break
                 path, ecc = _degree_path_bound(g)
-                ceiling = min(ceiling, path)
+                ceiling = _ceiling(g, path)[0]
             t += 1
     except BudgetExceeded:
         # every t below the interrupted probe completed, so a found minimum

@@ -12,8 +12,8 @@ DEFAULT_BUDGET = 10_000_000
 # the top-color cut keeps |V| + |E| masks of |E| bits; a longer order skips it
 # (on grid 80x80, 12,640 edges, it doubled the peak RSS of `oracle --t 6`)
 TOP_CUT_EDGES = 1024
-# the oracle computes automorphism generators for the lex-leader cut only on
-# graphs with at most this many vertices (K12 takes about 3 ms)
+# the interval search applies the lex-leader cut only on graphs with at most
+# this many vertices (computing the generators of K12 takes about 3 ms)
 SYMMETRY_VERTICES = 12
 
 
@@ -38,8 +38,7 @@ def first_coloring(
     k: int,
     budget: Budget,
     interval: bool,
-    window: Sequence[tuple[int, int]] | None = None,
-    symmetries: Sequence[Sequence[int]] = (),
+    ecc: Sequence[int] | None = None,
 ) -> tuple[int, ...] | None:
     """Colors by edge id of the first coloring with colors 1..k, or None if
     none exists.
@@ -69,25 +68,24 @@ def first_coloring(
       c >= deg(z) + 1, since its colors then start at c - deg(z) + 1 >= 2; a
       node is cut when color 1 is unused and every edge from it on has an end
       shut from below.
-    - `window`, optional: per edge id, the least and greatest color, within
-      1..k, that the edge takes in every interval k-coloring. It must be
-      symmetric under reflection (lo + hi = k + 1, or empty), so that the
-      reflection cut stays sound; the oracle's degree-path windows are.
-    - Lex-leader (Crawford, Ginsberg, Luks and Roy, KR 1996), with
-      `symmetries`, optional: automorphisms of g as edge permutations (entry
-      e is the edge that e maps to), read only with `interval` and an `order`
-      of every edge. A coloring a is kept only if a <= a o pi in position
-      order for every generator pi. Each comparison of a[p] with
-      a[img[p]], img[p] the position of pi(order[p]), is decided at the depth
-      that colors every position up to p and every image up to img[p];
-      ties[d], a mask like opened, holds the generators still equal there.
-      A node dies, after its tick, when a pending generator's first unequal
-      comparison has the lesser color at the image. Like reflection, this
-      cut drops colorings, but never the least one: a o pi is an interval
-      k-coloring too, so the least coloring is the least member of its
-      orbit, and the least coloring has the least first color. So every cut
-      here keeps it, and a search returns the same coloring with or without
-      any of them.
+    - Windows, with `ecc`, optional: per edge id, a bound on how far its color
+      lies from any other edge's in every interval k-coloring. Some edge
+      takes 1 and some k, so edge e tries only [k - ecc(e), 1 + ecc(e)], a
+      window that reflection maps onto itself.
+    - Lex-leader (Crawford, Ginsberg, Luks and Roy, KR 1996), on g with at
+      most SYMMETRY_VERTICES vertices and an `order` of every edge, over the
+      edge permutations in Graph._automorphisms. A coloring a is kept only if
+      a <= a o pi in position order for every generator pi. Each comparison of
+      a[p] with a[img[p]], img[p] the position of pi(order[p]), is decided at
+      the depth that colors every position up to p and every image up to
+      img[p]; ties[d], a mask like opened, holds the generators still equal
+      there. A node dies, after its tick, when a pending generator's first
+      unequal comparison has the lesser color at the image. Like reflection,
+      this cut drops colorings, but never the least one: a o pi is an interval
+      k-coloring too, so the least coloring is the least member of its orbit,
+      and the least coloring has the least first color. So every cut here
+      keeps it, and a search returns the same coloring with or without any of
+      them.
 
     Both reachability cuts run on orders of up to TOP_CUT_EDGES edges. Over
     the 1,245 non-empty networkx atlas graphs at 20k nodes each, the top-color
@@ -121,8 +119,7 @@ def first_coloring(
     m = len(order)
     ends = [g.edges[e] for e in order]
     full = (1 << k) - 1
-    # allow[z]: the colors z may still take; the sentinel g.n keeps them all
-    allow = [full] * (g.n + 1)
+    allow = [full] * g.n  # allow[z]: the colors z may still take
     xs = [0] * m  # allow[u] and allow[v] before position p was colored
     ys = [0] * m
     palette = [0] * (m + 1)
@@ -140,22 +137,22 @@ def first_coloring(
         # span[p]: the colors of position p's window; the first edge's top
         # is the reflection cut's (k+1)//2
         span = [full] * m
-        if window is not None:
+        if ecc is not None:
             for p, e in enumerate(order):
-                lo, hi = window[e]
-                span[p] = (1 << hi) - (1 << (lo - 1)) if lo <= hi else 0
+                s = max(0, k - 1 - ecc[e])  # the window: 1..k less s colors at each end
+                span[p] = full >> s >> s << s
         span[0] &= (1 << (k + 1) // 2) - 1
         # need[p]: the palette rule fires at p when fewer than need[p] colors
         # are used, as k - used colors then outnumber the m - p - 1 edges
         # after p
         need = range(k - m + 1, k + 1)
-        # the edge "just colored" at the root ends at the sentinel
-        u = v = g.n
+        # the root reads the cuts' masks at the first edge's ends, which hold
+        # no color yet
+        u, v = ends[0]
         if m <= TOP_CUT_EDGES:
             top = 1 << (k - 1)  # color k's bit
             first = 1  # color 1's bit
-            # clear[z] = ~(positions of z's edges); the sentinel's comes last
-            clear = [-1] * (g.n + 1)
+            clear = [-1] * g.n  # clear[z] = ~(positions of z's edges)
             for p, (a, b) in enumerate(ends):
                 clear[a] ^= 1 << p
                 clear[b] ^= 1 << p
@@ -170,6 +167,7 @@ def first_coloring(
             below = opened[:]
         else:
             top = first = 0  # pal < top and pal & 1 < first never hold
+        symmetries = g._automorphisms if g.n <= SYMMETRY_VERTICES and m == g.m else ()
         if symmetries:
             # generator j (bit 1 << j) at position p compares chosen[p] with
             # chosen[img[p]]; a comparison is decided at the depth that

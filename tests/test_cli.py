@@ -145,6 +145,17 @@ def test_oracle_budget_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_out_needs_t(tmp_path, capsys):
+    # a full scan has no one witness to write: --out without --t is an input
+    # error, raised before the graph is read (here it does not exist)
+    out = tmp_path / "w.col"
+    assert run(["oracle", str(tmp_path / "missing.g"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out needs --t: only a single-t probe writes a witness\n"
+    assert not out.exists()
+
+
 def test_env_budget(tmp_path, capsys, monkeypatch):
     g = tmp_path / "grid.g"
     run(["gen", "--family", "grid", "--dims", "3,3", "--out", str(g)])

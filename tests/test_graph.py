@@ -11,7 +11,6 @@ from gapfree.errors import (
     VertexOutOfRange,
 )
 from gapfree.graph import _automorphism_generators, bfs_edge_order
-from gapfree.oracle import _symmetries
 
 from helpers import SEED, named
 
@@ -355,14 +354,47 @@ def test_automorphism_generators_of_named_graphs():
     assert _edge_group_order(_automorphism_generators(named("petersen")), 15) == 120
 
 
-def test_symmetries_stop_at_the_vertex_limit():
-    # the oracle asks for generators only up to SYMMETRY_VERTICES vertices
-    from gapfree.search import SYMMETRY_VERTICES
+def test_symmetries_stop_at_the_vertex_limit(monkeypatch):
+    # the interval search computes generators, once per graph, only up to
+    # SYMMETRY_VERTICES vertices and only for an order of every edge; proper
+    # searches never compute them. gf.generate, not the cached named(): each
+    # graph here must be new, with no generators cached by another test
+    import gapfree.graph
+    from gapfree.search import SYMMETRY_VERTICES, Budget, first_coloring
+
+    computed = []
+
+    def counted(g):
+        computed.append(g)
+        return _automorphism_generators(g)
+
+    monkeypatch.setattr(gapfree.graph, "_automorphism_generators", counted)
+
+    def search(g, k, interval=True, order=None):
+        order = bfs_edge_order(g) if order is None else order
+        return first_coloring(g, order, k, Budget(100_000), interval)
 
     assert SYMMETRY_VERTICES == 12
-    assert _symmetries(named("C", 12)) == _automorphism_generators(named("C", 12)) != ()
-    assert _symmetries(named("C", 13)) == () != _automorphism_generators(named("C", 13))
-    assert _symmetries(named("grid", 4, 5)) == ()
+    c12, c13, grid = gf.generate("C", 12), gf.generate("C", 13), gf.generate("grid", 4, 5)
+    assert search(c12, 2) is not None
+    assert computed == [c12] and c12._automorphisms != ()
+    # C13 has automorphisms too, but more vertices than the limit
+    assert search(c13, 3) is None and search(grid, 4) is not None
+    assert computed == [c12] and _automorphism_generators(c13) != ()
+    c10 = gf.generate("C", 10)  # an order that misses an edge gets none
+    search(c10, 2, order=bfs_edge_order(c10)[:-1])
+    assert computed == [c12]
+
+    # chi' and the class-2 search are proper searches
+    petersen = gf.generate("petersen")
+    assert gf.exact_chromatic_index(petersen).chi_prime == 4
+    assert search(petersen, 3, interval=False) is None
+    assert computed == [c12]
+
+    # two oracle calls on one graph compute its generators once
+    q3 = gf.generate("Q", 3)
+    assert gf.oracle(q3) == gf.oracle(q3)
+    assert computed == [c12, q3]
 
 
 def test_automorphism_generator_pin():
