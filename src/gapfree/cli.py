@@ -382,6 +382,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) == "":
+            # before any file is read; the commands test args.out for truth
+            raise BadParameter("--out needs a non-empty path")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)

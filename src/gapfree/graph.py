@@ -5,13 +5,14 @@ the smaller endpoint first, the whole list sorted, so an edge's position in the
 list is a stable id. Colorings elsewhere in the package are plain arrays
 indexed by these edge ids. One breadth-first walk, made once per graph, gives
 the searches their edge order, is_bipartite its two sides and the oracle's
-bound its components; the lex-leader cut's generators are cached likewise.
+bound its components; the lex-leader cut's generators, and the tables that
+it and the orbit bound read, are cached likewise.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import islice
 
@@ -160,6 +161,13 @@ class Graph(_Record):
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """_automorphism_generators(self), computed once per graph."""
         return _automorphism_generators(self)
+
+    @cached_property
+    def _symmetry_plan(self) -> tuple | None:
+        """search._lex_leader_plan(self), computed once per graph."""
+        from . import search  # search imports this module
+
+        return search._lex_leader_plan(self)
 
     @property
     def regularity(self) -> int | None:
@@ -321,9 +329,9 @@ def _automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _orbit(v: int, gens: list[list[int]]) -> set[int]:
-    """The orbit of vertex v under the group that the vertex permutations
-    `gens` generate."""
+def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of v under the group that the permutations `gens` generate:
+    of vertices here, of edge ids in the search's orbit bound."""
     orbit = {v}
     stack = [v]
     while stack:

@@ -183,11 +183,11 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       edge e to the colors [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
 
     On graphs with at most SYMMETRY_VERTICES vertices the search applies
-    the lex-leader cut to every interval probe by itself (see
-    first_coloring), from automorphism generators computed once per graph
-    with no budget ticks. Each probe still returns its least coloring, so no
-    witness moves. The proper Delta-search gets none: its first-use color
-    order already breaks the color symmetry.
+    the lex-leader cut and the orbit bound to every interval probe by itself
+    (see first_coloring), from automorphism generators and tables computed
+    once per graph with no budget ticks. Each probe still returns its least
+    coloring, so no witness moves. The proper Delta-search gets none: its
+    first-use color order already breaks the color symmetry.
     """
     if g.m == 0:
         return OracleResult(member=False, w=None, W=None, witnesses={})

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded
-from .graph import Graph
+from .graph import Graph, _orbit
 
 DEFAULT_BUDGET = 10_000_000
 # the top-color cut keeps |V| + |E| masks of |E| bits; a longer order skips it
@@ -56,8 +56,8 @@ def first_coloring(
     ascending order has the least first color, so it is never cut either: a
     search that finds one returns the same coloring, and only the nodes that
     the cuts remove are saved. The same holds for every cut below: each
-    removes only subtrees without a coloring, except the lex-leader cut,
-    which keeps the least coloring.
+    removes only subtrees without a coloring, except the lex-leader cut and
+    the orbit bound, which keep the least coloring.
 
     - Top color: a vertex z is shut once it holds a color c <= k - deg(z),
       since its deg(z) consecutive colors then end at or below
@@ -73,25 +73,44 @@ def first_coloring(
       takes 1 and some k, so edge e tries only [k - ecc(e), 1 + ecc(e)], a
       window that reflection maps onto itself.
     - Lex-leader (Crawford, Ginsberg, Luks and Roy, KR 1996), on g with at
-      most SYMMETRY_VERTICES vertices and an `order` of every edge, over the
-      edge permutations in Graph._automorphisms. A coloring a is kept only if
-      a <= a o pi in position order for every generator pi. Each comparison of
-      a[p] with a[img[p]], img[p] the position of pi(order[p]), is decided at
-      the depth that colors every position up to p and every image up to
-      img[p]; ties[d], a mask like opened, holds the generators still equal
-      there. A node dies, after its tick, when a pending generator's first
-      unequal comparison has the lesser color at the image. Like reflection,
-      this cut drops colorings, but never the least one: a o pi is an interval
-      k-coloring too, so the least coloring is the least member of its orbit,
-      and the least coloring has the least first color. So every cut here
-      keeps it, and a search returns the same coloring with or without any of
-      them.
+      most SYMMETRY_VERTICES vertices and `order` its BFS order, over the
+      edge permutations in Graph._automorphisms; the tables that it and the
+      orbit bound read are built once per graph (_lex_leader_plan). A
+      coloring a is kept only if a <= a o pi in position order for every
+      generator pi. Each comparison of a[p] with a[img[p]], img[p] the
+      position of pi(order[p]), is decided at the depth that colors every
+      position up to p and every image up to img[p]; ties[d], a mask like
+      opened, holds the generators still equal there. A node dies, after its
+      tick, when a pending generator's first unequal comparison has the
+      lesser color at the image. Like reflection, this cut drops colorings,
+      but never the least one: a o pi is an interval k-coloring too, so the
+      least coloring is the least member of its orbit, and the least coloring
+      has the least first color. So every cut here keeps it, and a search
+      returns the same coloring with or without any of them.
+    - Orbit bound (the first level of Puget's orbit constraints,
+      Constraints 10, 2005), on the graphs that get the lex-leader cut: for
+      every edge f in the orbit O of e0 = order[0] under the generators,
+      a(e0) <= a(f) <= k+1-a(e0). The least coloring a obeys it: for any
+      automorphism s, a o s and its reflection k+1 - a o s are interval
+      k-colorings, so a is no greater than either, and both comparisons
+      start at position 0, with a(s(e0)) and k+1 - a(s(e0)); every f in O is
+      some s(e0). So each time position 0 takes c, the node at depth 1 sets
+      the windows of O's positions to [c, k+1-c], and no witness moves. That
+      window lies within the one ecc gives f, which it replaces: ecc(f) =
+      ecc(e0) for the oracle's ecc, which automorphisms keep, and c lies in
+      [k - ecc(e0), 1 + ecc(e0)]. Once c > 1, O's edges can place neither
+      color 1 nor color k, so that node also drops O's positions from the
+      masks the two reachability cuts start from. This prunes nodes that the
+      lex-leader cut visits only to kill them, the comparisons with
+      reflection, which the lex-leader cut never makes, and on an
+      edge-transitive graph every first color above 1 at once.
 
     Both reachability cuts run on orders of up to TOP_CUT_EDGES edges. Over
     the 1,245 non-empty networkx atlas graphs at 20k nodes each, the top-color
     cut took oracle nodes from 6,714,904 to 5,056,534; with the color-1 cut
-    and the oracle's windows and class-1 premise they take 3,382,157, and
-    with the lex-leader cut 1,998,222, with the same witnesses.
+    and the oracle's windows and class-1 premise they take 3,382,157, with
+    the lex-leader cut 1,998,222, and with the orbit bound 1,696,275, with
+    the same witnesses.
 
     Otherwise the coloring must be proper, with new colors in first-use
     order (which breaks every color permutation already). Properness alone
@@ -125,9 +144,11 @@ def first_coloring(
     palette = [0] * (m + 1)
     cands = [0] * m
     chosen = [0] * m
-    # stop[pos]: node pos returns a leaf or reads lex-leader comparisons
+    # stop[pos]: node pos returns a leaf, reads lex-leader comparisons or
+    # applies the orbit bound (see _lex_leader_plan)
     stop = [False] * m + [True]
     checks: list = [None] * (m + 1)
+    orbit: tuple[int, ...] = ()
     live = 1  # a cut that kills a node sets 0; the dead node resets it
     if interval:
         # near_of[z][c]: the colors that z, once it holds c, may still take
@@ -167,33 +188,12 @@ def first_coloring(
             below = opened[:]
         else:
             top = first = 0  # pal < top and pal & 1 < first never hold
-        symmetries = g._automorphisms if g.n <= SYMMETRY_VERTICES and m == g.m else ()
-        if symmetries:
-            # generator j (bit 1 << j) at position p compares chosen[p] with
-            # chosen[img[p]]; a comparison is decided at the depth that
-            # colors every position up to it and its image
-            at = [0] * g.m
-            for p, e in enumerate(order):
-                at[e] = p
-            tests: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
-            for j, perm in enumerate(symmetries):
-                reach = 0
-                for p, e in enumerate(order):
-                    q = at[perm[e]]
-                    reach = max(reach, p, q)
-                    if q != p:
-                        tests[reach + 1].append((1 << j, p, q))
-            # ties[d]: the generators still equal to the coloring up to depth
-            # d, written at depth d if it has tests; checks[d] = (the last
-            # depth before d with tests, or -1 for ties[-1], all generators
-            # pending; d's tests)
-            ties = [0] * m + [0, (1 << len(symmetries)) - 1]
-            prior = -1
-            for d, row in enumerate(tests):
-                if row:
-                    checks[d] = (prior, row)
-                    stop[d] = True
-                    prior = d
+        plan = None
+        if g.n <= SYMMETRY_VERTICES and tuple(order) == g._walk[0]:
+            plan = g._symmetry_plan
+        if plan is not None:
+            stop, checks, ties, orbit = plan
+            ties = ties[:]
     left = budget.limit - budget.used
     nodes = pos = 0
     while True:
@@ -215,6 +215,18 @@ def first_coloring(
                                     break
                                 pend ^= b
                 ties[pos] = pend
+            elif pos == 1 and orbit:
+                # position 0 now holds c: its orbit's windows become [c, k+1-c]
+                s = chosen[0].bit_length() - 1
+                keep = full >> s >> s << s
+                for p in orbit:
+                    span[p] = keep
+                if s and top:
+                    # so above 1 the orbit can place neither 1 nor k, and as
+                    # c only rises, the root's masks may drop it for good
+                    drop = ~sum([1 << p for p in orbit])
+                    opened[0] &= drop
+                    below[0] &= drop
             if live and pos == m:
                 budget.spend(nodes)
                 # at a leaf the palette rule has left no color unused
@@ -276,6 +288,55 @@ def first_coloring(
             allow[v] = y ^ bit
         pos += 1
         palette[pos] = palette[pos - 1] | bit
+
+
+def _lex_leader_plan(g: Graph) -> tuple | None:
+    """The lex-leader cut's tables for g's BFS order, which depend on g
+    alone, so Graph._symmetry_plan keeps them for every probe and budget:
+    (stop, checks, ties, orbit) as first_coloring reads them, or None when
+    no automorphism moves an edge. ties is the template that each search
+    copies, as it writes its own.
+
+    Generator j (bit 1 << j) at position p compares chosen[p] with
+    chosen[img[p]]; a comparison is decided at the depth that colors every
+    position up to it and its image, which stop marks. orbit holds the
+    positions, but 0, of the first edge's orbit under the generators, found
+    by a walk over them; when it is not empty, stop marks depth 1 too.
+    Reads only fields and cached properties of g (see _automorphism_generators).
+    """
+    symmetries = g._automorphisms
+    if not symmetries:
+        return None
+    order = g._walk[0]
+    m = len(order)
+    at = [0] * m
+    for p, e in enumerate(order):
+        at[e] = p
+    tests: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
+    for j, perm in enumerate(symmetries):
+        reach = 0
+        for p, e in enumerate(order):
+            q = at[perm[e]]
+            reach = max(reach, p, q)
+            if q != p:
+                tests[reach + 1].append((1 << j, p, q))
+    # ties[d]: the generators still equal to the coloring up to depth d,
+    # written at depth d if it has tests; checks[d] = (the last depth before
+    # d with tests, or -1 for ties[-1], all generators pending; d's tests)
+    stop = [False] * m + [True]
+    checks: list = [None] * (m + 1)
+    ties = [0] * m + [0, (1 << len(symmetries)) - 1]
+    prior = -1
+    for d, row in enumerate(tests):
+        if row:
+            checks[d] = (prior, row)
+            stop[d] = True
+            prior = d
+    # a comparison reaches depth 2 at the least, so depth 1 reads no checks
+    orbit = tuple(sorted(at[e] for e in _orbit(order[0], symmetries) if e != order[0]))
+    if orbit:
+        stop[1] = True
+    return stop, checks, ties, orbit
 
 
 _near_tables: dict[int, list[int]] = {}

@@ -24,6 +24,22 @@ def named(name: str, *params: int) -> gf.Graph:
     return gf.generate(name, *params)
 
 
+def edge_group(generators, m: int) -> set[tuple[int, ...]]:
+    """The group of edge permutations of m edges that the generators
+    generate, as a set of tuples (entry e: the image of edge e)."""
+    identity = tuple(range(m))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for perm in generators:
+            b = tuple([perm[e] for e in a])
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
 @lru_cache(maxsize=None)
 def oracle_cached(g: gf.Graph, budget: int = gf.DEFAULT_BUDGET) -> gf.OracleResult:
     return gf.oracle(g, budget)

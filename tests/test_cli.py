@@ -156,6 +156,28 @@ def test_oracle_out_needs_t(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "P", "--n", "4"],
+    ["product", "--kind", "tensor", "--left", "missing.g", "--right", "missing.g"],
+    ["construct", "--theorem", "t12", "--left", "missing.g", "--right", "missing.g"],
+    ["oracle", "missing.g", "--t", "3"],
+    ["oracle", "missing.g"],
+    ["export-dot", "missing.g"],
+    ["chi-prime", "missing.g"],
+    ["bipartite-color", "missing.g"],
+], ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a == "--t"]))
+def test_empty_out_is_an_input_error(tmp_path, capsys, monkeypatch, argv):
+    # an empty path would be skipped by a test of --out for truth, the command
+    # writing nothing (export-dot: to stdout) with exit 0; it is an input
+    # error, raised before any graph is read (here none exists)
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out needs a non-empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_env_budget(tmp_path, capsys, monkeypatch):
     g = tmp_path / "grid.g"
     run(["gen", "--family", "grid", "--dims", "3,3", "--out", str(g)])
@@ -550,7 +572,7 @@ TRANSCRIPT = [
      {}),
     ('oracle p4.g --t 1', 1, 'b9bce4e7ccc70dee', '',
      {}),
-    ('oracle grid33.g', 0, '1287ba0c691c5e5d', '',
+    ('oracle grid33.g', 0, '0f4713ea7f9aff8e', '',
      {}),
     ('oracle grid33.g --budget 10', 2, 'c8b244e67b82d8b1', '',
      {}),
@@ -562,7 +584,7 @@ TRANSCRIPT = [
      {}),
     ('INTERVAL_BUDGET=10 oracle grid33.g', 2, 'c8b244e67b82d8b1', '',
      {}),
-    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '1287ba0c691c5e5d', '',
+    ('INTERVAL_BUDGET=10 oracle grid33.g --budget 100000', 0, '0f4713ea7f9aff8e', '',
      {}),
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),

@@ -12,7 +12,7 @@ from gapfree.errors import (
 )
 from gapfree.graph import _automorphism_generators, bfs_edge_order
 
-from helpers import SEED, named
+from helpers import SEED, edge_group, named
 
 
 def test_build_graph_canonicalizes():
@@ -285,21 +285,6 @@ def test_generate_messages(family, params, message):
     assert str(info.value) == message
 
 
-def _edge_group_order(generators, m: int) -> int:
-    """The order of the group of edge permutations the generators generate."""
-    identity = tuple(range(m))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        a = frontier.pop()
-        for perm in generators:
-            b = tuple([perm[e] for e in a])
-            if b not in group:
-                group.add(b)
-                frontier.append(b)
-    return len(group)
-
-
 def _is_edge_automorphism(g: gf.Graph, perm) -> bool:
     """Whether perm is a bijection of g's edge ids that keeps each edge's end
     degrees and keeps two edges meeting exactly when their images meet."""
@@ -334,7 +319,7 @@ def test_automorphism_generators_generate_the_group():
         assert tuple(range(g.m)) not in generators, g
         for perm in generators:
             assert _is_edge_automorphism(g, perm), (g, perm)
-        assert _edge_group_order(generators, g.m) == len(induced), g
+        assert len(edge_group(generators, g.m)) == len(induced), g
         counted += len(generators)
     assert counted > 300
 
@@ -348,27 +333,47 @@ def test_automorphism_generators_of_named_graphs():
     ])
     assert frucht.regularity == 3 and _automorphism_generators(frucht) == ()
     star = gf.build_graph(5, [(0, 1), (0, 2), (0, 3)])
-    assert _edge_group_order(_automorphism_generators(star), 3) == 6
+    assert len(edge_group(_automorphism_generators(star), 3)) == 6
     assert _automorphism_generators(gf.build_graph(2, [(0, 1)])) == ()
     assert _automorphism_generators(gf.build_graph(0, [])) == ()
-    assert _edge_group_order(_automorphism_generators(named("petersen")), 15) == 120
+    assert len(edge_group(_automorphism_generators(named("petersen")), 15)) == 120
+
+
+def test_orbit_of_the_first_edge():
+    # the orbit bound's positions, found by a walk over the generators, are
+    # the first edge's orbit under the whole group: every edge of Q3,
+    # Petersen and K4,5, and 4 of grid 3x4's 17 (its group has order 4)
+    for g, size in [(named("Q", 3), 12), (named("petersen"), 15),
+                    (named("kmn", 4, 5), 20), (named("grid", 3, 4), 4)]:
+        order = bfs_edge_order(g)
+        stop, _, _, orbit = g._symmetry_plan
+        whole = {perm[order[0]] for perm in edge_group(g._automorphisms, g.m)}
+        assert {order[p] for p in orbit} | {order[0]} == whole
+        assert len(whole) == size and 0 not in orbit and stop[1]
 
 
 def test_symmetries_stop_at_the_vertex_limit(monkeypatch):
-    # the interval search computes generators, once per graph, only up to
-    # SYMMETRY_VERTICES vertices and only for an order of every edge; proper
+    # the interval search computes generators and its plan, once per graph,
+    # only up to SYMMETRY_VERTICES vertices and only for the BFS order; proper
     # searches never compute them. gf.generate, not the cached named(): each
-    # graph here must be new, with no generators cached by another test
+    # graph here must be new, with nothing cached by another test
     import gapfree.graph
-    from gapfree.search import SYMMETRY_VERTICES, Budget, first_coloring
+    import gapfree.search
+    from gapfree.search import SYMMETRY_VERTICES, Budget, _lex_leader_plan, first_coloring
 
     computed = []
+    planned = []
 
     def counted(g):
         computed.append(g)
         return _automorphism_generators(g)
 
+    def plan(g):
+        planned.append(g)
+        return _lex_leader_plan(g)
+
     monkeypatch.setattr(gapfree.graph, "_automorphism_generators", counted)
+    monkeypatch.setattr(gapfree.search, "_lex_leader_plan", plan)
 
     def search(g, k, interval=True, order=None):
         order = bfs_edge_order(g) if order is None else order
@@ -377,24 +382,26 @@ def test_symmetries_stop_at_the_vertex_limit(monkeypatch):
     assert SYMMETRY_VERTICES == 12
     c12, c13, grid = gf.generate("C", 12), gf.generate("C", 13), gf.generate("grid", 4, 5)
     assert search(c12, 2) is not None
-    assert computed == [c12] and c12._automorphisms != ()
+    assert computed == planned == [c12] and c12._automorphisms != ()
     # C13 has automorphisms too, but more vertices than the limit
     assert search(c13, 3) is None and search(grid, 4) is not None
-    assert computed == [c12] and _automorphism_generators(c13) != ()
-    c10 = gf.generate("C", 10)  # an order that misses an edge gets none
+    assert computed == planned == [c12] and _automorphism_generators(c13) != ()
+    # an order that misses an edge, or any order but the BFS one, gets none
+    c10 = gf.generate("C", 10)
     search(c10, 2, order=bfs_edge_order(c10)[:-1])
-    assert computed == [c12]
+    assert search(c10, 2, order=bfs_edge_order(c10)[::-1]) is not None
+    assert computed == planned == [c12]
 
     # chi' and the class-2 search are proper searches
     petersen = gf.generate("petersen")
     assert gf.exact_chromatic_index(petersen).chi_prime == 4
     assert search(petersen, 3, interval=False) is None
-    assert computed == [c12]
+    assert computed == planned == [c12]
 
-    # two oracle calls on one graph compute its generators once
+    # two oracle calls on one graph compute its generators and plan once
     q3 = gf.generate("Q", 3)
     assert gf.oracle(q3) == gf.oracle(q3)
-    assert computed == [c12, q3]
+    assert computed == planned == [c12, q3]
 
 
 def test_automorphism_generator_pin():

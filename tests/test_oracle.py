@@ -8,8 +8,9 @@ import pytest
 import gapfree as gf
 from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
+from gapfree.graph import bfs_edge_order
 
-from helpers import SEED, naive_oracle, named, oracle_cached, spectrum
+from helpers import SEED, edge_group, naive_oracle, named, oracle_cached, spectrum
 
 
 def test_find_c3_cases():
@@ -292,15 +293,15 @@ def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
     # counts recorded with the reflection cut, the degree-path ceiling, the
     # top-color and color-1 cuts, the degree-path windows, the class-1
-    # premise and the lex-leader cut, none of which moves a witness. The
-    # tensor product (20 vertices, above SYMMETRY_VERTICES) stays capped: the
-    # top-color cut reaches t = 10 within the budget, and its witnesses for
-    # t <= 9 are the ones recorded before it
+    # premise, the lex-leader cut and the orbit bound, none of which moves a
+    # witness. The tensor product (20 vertices, above SYMMETRY_VERTICES) stays
+    # capped: the top-color cut reaches t = 10 within the budget, and its
+    # witnesses for t <= 9 are the ones recorded before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
-        (named("grid", 3, 4), (True, 4, 8, "complete", 18482), "135f1f530daa57b5"),
-        (named("Q", 3), (True, 3, 6, "complete", 197), "14ffcb31b319e9f5"),
-        (named("petersen"), (False, None, None, "complete", 38), "4f53cda18c2baa0c"),
+        (named("grid", 3, 4), (True, 4, 8, "complete", 9655), "135f1f530daa57b5"),
+        (named("Q", 3), (True, 3, 6, "complete", 89), "14ffcb31b319e9f5"),
+        (named("petersen"), (False, None, None, "complete", 35), "4f53cda18c2baa0c"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
     for g, verdict, digest in pins:
@@ -320,8 +321,9 @@ def test_atlas_search_tree_pin():
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
     # degree-path ceiling and windows, the top-color and color-1 cuts, the
-    # class-1 premise and the lex-leader cut (32,533 nodes in all). The chi' search runs at a
-    # budget that caps a few; recorded from the recursive search it replaced
+    # class-1 premise, the lex-leader cut and the orbit bound (23,983 nodes in
+    # all). The chi' search runs at a budget that caps a few; recorded from
+    # the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
     node_digest = hashlib.sha256()
@@ -342,8 +344,35 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "b89bb101a0b6602c"
+    assert node_digest.hexdigest()[:16] == "25f65d8184464800"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
+
+
+def test_witnesses_obey_the_orbit_bound():
+    # the search returns the least coloring a, which is no greater than its
+    # image under any automorphism, reflected or not: so a(e0) <= a(f) <=
+    # t+1-a(e0) for every f in the first edge e0's orbit under the whole
+    # group. Over every non-empty atlas graph on at most 6 vertices, Q3,
+    # Petersen (no witness), grid 3x3, K4,5 and K4,6
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if a.number_of_edges() and a.number_of_nodes() <= 6
+    ]
+    graphs += [named("Q", 3), named("petersen"), named("grid", 3, 3),
+               named("kmn", 4, 5), named("kmn", 4, 6)]
+    moved = 0  # witnesses with a(e0) > 1 on an orbit of more than e0
+    for g in graphs:
+        result = gf.oracle(g, 200_000)
+        assert result.status == "complete"
+        e0 = bfs_edge_order(g)[0]
+        orbit = {perm[e0] for perm in edge_group(g._automorphisms, g.m)}
+        for t, witness in result.witnesses.items():
+            a = witness.colors
+            assert all(a[e0] <= a[f] <= t + 1 - a[e0] for f in orbit), (g, t)
+            moved += a[e0] > 1 and len(orbit) > 1
+    assert moved > 0
 
 
 def test_allowed_color_masks():
@@ -379,12 +408,12 @@ def test_allowed_color_masks():
 def test_top_color_cut_skips_long_orders(monkeypatch):
     # above TOP_CUT_EDGES edges the search keeps no masks and cuts no more:
     # grid 3x4 then takes the nodes it took before the top-color cut, with
-    # the lex-leader cut (34,063 without it)
+    # the lex-leader cut and the orbit bound (34,063 without either)
     import gapfree.search
 
     monkeypatch.setattr(gapfree.search, "TOP_CUT_EDGES", 16)  # grid 3x4 has 17
     result = gf.oracle(named("grid", 3, 4), 200_000)
-    assert (result.W, result.nodes_explored) == (8, 18815)
+    assert (result.W, result.nodes_explored) == (8, 13110)
     assert _witness_digest(result.witnesses) == "135f1f530daa57b5"
 
 
