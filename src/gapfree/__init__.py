@@ -19,6 +19,7 @@ from .colorings import (
     IntervalReport,
     PropernessViolation,
     load_coloring,
+    to_dot,
     verify_interval,
     write_coloring,
 )
@@ -33,10 +34,7 @@ from .constructions import (
     tensor_interval,
     torus_hamming_membership,
 )
-from .dot import to_dot
 from .errors import (
-    BadDims,
-    BadN,
     BadParameter,
     BudgetExceeded,
     ConstructionFailed,
@@ -45,7 +43,6 @@ from .errors import (
     GapfreeError,
     InvalidAlpha,
     LoopEdge,
-    MissingParameter,
     NotBipartite,
     NotClass1,
     NotRegular,

@@ -17,8 +17,10 @@ import os
 import sys
 
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
-from .colorings import load_coloring, verify_interval, write_coloring
+from .colorings import load_coloring, to_dot, verify_interval, write_coloring
 from .constructions import (
+    _require_copies,
+    _require_regular,
     bound_report,
     cartesian_interval,
     lex_empty_interval,
@@ -28,7 +30,6 @@ from .constructions import (
     tensor_interval,
     torus_hamming_membership,
 )
-from .dot import to_dot
 from .errors import BadParameter, BudgetExceeded, GapfreeError
 from .families import generate
 from .graph import read_edge_list, write_edge_list
@@ -156,30 +157,39 @@ def _cmd_product(args) -> int:
     return 0
 
 
-# theorem -> (option naming the second operand, composer(g, alpha, operand,
-# args, budget)); a right factor arrives read. Composers name their
-# constructor at call time, so a replaced module attribute is the one called.
+# theorem -> (option naming the second operand, its check, composer(g, alpha,
+# operand, args, budget)); a right factor arrives read. The check runs before
+# any search for a factor coloring. Composers name their constructor at call
+# time, so a replaced module attribute is the one called.
 _THEOREMS = {
-    "t2": ("right", lambda g, alpha, h, args, budget: cartesian_interval(
+    "t2": ("right", None, lambda g, alpha, h, args, budget: cartesian_interval(
         g, alpha, h, _get_alpha(h, args.right_coloring, budget))),
-    "t12": ("right", lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
-    "t13": ("right", lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
-    "t14": ("right", lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
-    "t16w": ("n", lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
-    "t16W": ("n", lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
-    "t17": ("right", lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
+    "t12": ("right", _require_regular,
+            lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
+    "t13": ("right", _require_regular,
+            lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
+    "t14": ("right", _require_regular,
+            lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
+    "t16w": ("n", _require_copies,
+             lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
+    "t16W": ("n", _require_copies,
+             lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
+    "t17": ("right", _require_regular,
+            lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
 }
 
 
 def _cmd_construct(args) -> int:
     budget = _budget(args)
-    operand, compose = _THEOREMS[args.theorem]
+    operand, check, compose = _THEOREMS[args.theorem]
     value = getattr(args, operand)
     if value is None:
         raise BadParameter(f"--{operand} is required for {args.theorem}")
     g = read_edge_list(args.left)
     if operand == "right":
         value = read_edge_list(value)
+    if check is not None:
+        check(value)
     alpha = _get_alpha(g, args.left_coloring, budget)
     prod, coloring = compose(g, alpha, value, args, budget)
     write_coloring(args.out, prod.graph, coloring)

@@ -1,4 +1,4 @@
-"""Edge colorings and the interval-coloring verifier.
+"""Edge colorings, the interval-coloring verifier, and file and DOT export.
 
 An interval t-coloring is a proper edge coloring with colors 1..t in which
 every color is used at least once and the colors incident to each vertex form
@@ -171,3 +171,39 @@ def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
             f"{path}: edge id {k} is ({u},{v}) but the graph has {edges[k]}"
         )
     return t, EdgeColoring(tuple(colors))
+
+
+# fixed display palette; edge color ids cycle through it
+PALETTE = (
+    "red",
+    "blue",
+    "forestgreen",
+    "orange",
+    "purple",
+    "brown",
+    "cyan3",
+    "magenta",
+    "gold",
+    "gray40",
+    "darkgreen",
+    "navy",
+)
+
+
+def to_dot(g: Graph, coloring: EdgeColoring | None = None) -> str:
+    """Undirected DOT text; with a coloring, edges get label=<color> and a
+    display color cycled from the fixed 12-entry palette."""
+    if coloring is not None:
+        _check_total(g, coloring)
+    lines = ["graph {"]
+    for v in range(g.n):
+        lines.append(f"  {v};")
+    for k, (u, v) in enumerate(g.edges):
+        if coloring is None:
+            lines.append(f"  {u} -- {v};")
+        else:
+            c = coloring.colors[k]
+            display = PALETTE[(c - 1) % len(PALETTE)]
+            lines.append(f'  {u} -- {v} [label={c} color="{display}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

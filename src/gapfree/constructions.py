@@ -31,12 +31,9 @@ from collections.abc import Callable, Sequence
 from .chromatic import bipartite_regular_coloring, exact_chromatic_index
 from .colorings import EdgeColoring, IntervalReport, verify_interval
 from .errors import (
-    BadDims,
-    BadN,
     BadParameter,
     ConstructionFailed,
     InvalidAlpha,
-    MissingParameter,
     NotClass1,
     NotRegular,
 )
@@ -79,6 +76,11 @@ def _require_regular(h: Graph) -> int:
             f"the right factor must be r-regular with r >= 1, degrees {set(h.degrees)}"
         )
     return r
+
+
+def _require_copies(n: int) -> None:
+    if n < 1:
+        raise BadParameter(f"copy count must be >= 1, got {n}")
 
 
 def _interval_regular_coloring(h: Graph, budget: int) -> EdgeColoring:
@@ -214,8 +216,7 @@ def lex_empty_interval(
     variant "w" uses t*n colors; variant "W" uses t*n + n - 1 colors (the
     widest this blow-up is guaranteed to reach when alpha is itself widest).
     """
-    if n < 1:
-        raise BadN(f"copy count must be >= 1, got {n}")
+    _require_copies(n)
     if variant not in ("w", "W"):
         raise BadParameter(f"variant must be 'w' or 'W', got {variant!r}")
     t = _validated_alpha(g, alpha)
@@ -291,14 +292,14 @@ def torus_hamming_membership(dims: Sequence[int], kind: str) -> bool:
     dims = tuple(dims)
     if kind == "torus":
         if len(dims) != 2:
-            raise BadDims(f"a torus has exactly 2 dimensions, got {len(dims)}")
+            raise BadParameter(f"a torus has exactly 2 dimensions, got {len(dims)}")
         if any(d < 2 for d in dims):
-            raise BadDims(f"torus dimensions must be >= 2, got {dims}")
+            raise BadParameter(f"torus dimensions must be >= 2, got {dims}")
     elif kind == "hamming":
         if not dims:
-            raise BadDims("a Hamming graph needs at least one dimension")
+            raise BadParameter("a Hamming graph needs at least one dimension")
         if any(d < 2 for d in dims):
-            raise BadDims(f"Hamming dimensions must be >= 2, got {dims}")
+            raise BadParameter(f"Hamming dimensions must be >= 2, got {dims}")
     else:
         raise BadParameter(f"kind must be 'torus' or 'hamming', got {kind!r}")
     parity = 1
@@ -328,7 +329,7 @@ def _odd_decomposition(n: int) -> tuple[int, int]:
 def _req(params: dict, *names: str) -> list:
     missing = [name for name in names if name not in params]
     if missing:
-        raise MissingParameter(f"missing parameter(s) {', '.join(missing)}")
+        raise BadParameter(f"missing parameter(s) {', '.join(missing)}")
     unknown = [name for name in params if name not in names]
     if unknown:
         raise BadParameter(f"unknown parameter(s) {', '.join(map(repr, unknown))}")
@@ -376,8 +377,8 @@ def _exact_delta(family: str, dims: Sequence[int]) -> int:
 
 
 def bound_report(theorem: str, **params) -> BoundReport:
-    """Evaluate one of the known bound formulas; a missing parameter raises
-    MissingParameter, one the formula does not read BadParameter.
+    """Evaluate one of the known bound formulas; a missing parameter, or one
+    the formula does not read, raises BadParameter.
 
     Product composition bounds (w <= W per factor, r / n as needed; all >= 1):
       t2  cartesian      w <= w_g + w_h           W >= W_g + W_h

@@ -41,18 +41,6 @@ class InvalidAlpha(GapfreeError):
     """The supplied coloring is not a valid interval coloring of its graph."""
 
 
-class BadN(GapfreeError):
-    """The copy count for a lexicographic blow-up must be >= 1."""
-
-
-class BadDims(GapfreeError):
-    """Torus/Hamming dimension list violates its bounds."""
-
-
-class MissingParameter(GapfreeError):
-    """A bound formula was invoked without a required parameter."""
-
-
 class ConstructionFailed(GapfreeError):
     """A constructor's self-verification failed; this indicates a bug, not bad input."""
 

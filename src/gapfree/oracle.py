@@ -129,11 +129,7 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
     the unordered edge pairs; oracle() pays it only once a probe has proved
     absence.
     """
-    return _ceiling(g, _degree_path_bound(g)[0])
-
-
-def _ceiling(g: Graph, path: int) -> tuple[int, str]:
-    """proven_ceiling(g), given its degree-path bound `path`."""
+    path = _degree_path_bound(g)[0]
     ceiling = search_ceiling(g)
     return (path, "degree-path") if path <= ceiling else (ceiling, "2|V|-4")
 
@@ -217,7 +213,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
                     premise = CLASS_2
                     break
                 path, ecc = _degree_path_bound(g)
-                ceiling = _ceiling(g, path)[0]
+                ceiling = min(ceiling, path)
             t += 1
     except BudgetExceeded:
         # every t below the interrupted probe completed, so a found minimum

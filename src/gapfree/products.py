@@ -62,6 +62,8 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
     Every edge is emitted once, lower endpoint first (i < j or p < q), so the
     sorted list is already canonical and needs no re-validation.
     """
+    if not isinstance(kind, ProductKind):
+        raise BadParameter(f"kind must be a ProductKind, got {kind!r}")
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("product factors must have at least one vertex")
     m = h.n

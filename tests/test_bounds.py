@@ -2,7 +2,7 @@ import pytest
 
 import gapfree as gf
 from gapfree import ProductKind
-from gapfree.errors import BadParameter, MissingParameter
+from gapfree.errors import BadParameter
 
 
 def test_t12_example():
@@ -91,11 +91,11 @@ def test_t3_out_of_scope_dims():
 
 
 def test_missing_parameter():
-    with pytest.raises(MissingParameter):
+    with pytest.raises(BadParameter, match=r"^missing parameter\(s\) r$"):
         gf.bound_report("t12", w_g=2, W_g=3)
-    with pytest.raises(MissingParameter):
+    with pytest.raises(BadParameter, match=r"^missing parameter\(s\) n$"):
         gf.bound_report("t7")
-    with pytest.raises(MissingParameter):
+    with pytest.raises(BadParameter, match=r"^missing parameter\(s\) dims$"):
         gf.bound_report("t3", family="grid")
 
 

@@ -736,6 +736,10 @@ TRANSCRIPT = [
      {}),
     ('construct --theorem t12 --left grid33.g --out o.col --budget 10', 3, '', '2fd787a6575b2d41',
      {}),
+    ('construct --theorem t16w --left grid33.g --n 0 --budget 10 --out o.col', 3, '', '82aa1046d620541f',
+     {}),
+    ('construct --theorem t12 --left grid33.g --right p3.g --budget 10 --out o.col', 3, '', '95c72f12701d1987',
+     {}),
 ]
 
 
@@ -791,6 +795,20 @@ def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeyp
         assert code == 3
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    # so is an invalid operand: a copy count below 1, or a right factor that
+    # is not regular where the theorem needs one
+    right = tmp_path / "p3.g"
+    gf.write_edge_list(right, gf.generate("P", 3))
+    invalid = [("t16w", "--n", "0", "error: copy count must be >= 1, got 0\n"),
+               ("t16W", "--n", "-1", "error: copy count must be >= 1, got -1\n")]
+    invalid += [(theorem, "--right", str(right), "error: the right factor must be"
+                 " r-regular with r >= 1, degrees {1, 2}\n")
+                for theorem in ("t12", "t13", "t14", "t17")]
+    for theorem, option, value, message in invalid:
+        code = run(["construct", "--theorem", theorem, "--left", str(left), option, value,
+                    "--budget", "2000000", "--out", str(tmp_path / "o.col")])
+        assert code == 3
+        assert capsys.readouterr().err == message
 
 
 def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):

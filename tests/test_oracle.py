@@ -302,6 +302,8 @@ def test_search_tree_pins():
         (named("grid", 3, 4), (True, 4, 8, "complete", 9655), "135f1f530daa57b5"),
         (named("Q", 3), (True, 3, 6, "complete", 89), "14ffcb31b319e9f5"),
         (named("petersen"), (False, None, None, "complete", 35), "4f53cda18c2baa0c"),
+        (named("kmn", 4, 5), (True, 8, 8, "complete", 1108), "c29c630a20eaeb60"),
+        (named("kmn", 4, 6), (True, 8, 9, "complete", 1861), "350e1de096172874"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
     for g, verdict, digest in pins:

@@ -4,7 +4,7 @@ import pytest
 
 import gapfree as gf
 from gapfree import EdgeOrigin, ProductKind
-from gapfree.errors import EmptyFactor
+from gapfree.errors import BadParameter, EmptyFactor
 
 from helpers import SEED, named
 
@@ -125,6 +125,12 @@ def test_cartesian_k2_k2_is_c4():
 def test_empty_factor_rejected():
     with pytest.raises(EmptyFactor):
         gf.product(ProductKind.TENSOR, gf.build_graph(0, []), named("K", 2))
+
+
+def test_kind_must_be_a_product_kind():
+    for kind in ("tensor", None):
+        with pytest.raises(BadParameter, match=f"^kind must be a ProductKind, got {kind!r}$"):
+            gf.product(kind, named("P", 3), named("C", 4))
 
 
 def test_origin_tags_consistent_with_coords():
