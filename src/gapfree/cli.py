@@ -182,6 +182,13 @@ _THEOREMS = {
 def _cmd_construct(args) -> int:
     budget = _budget(args)
     operand, check, compose = _THEOREMS[args.theorem]
+    # an operand option the theorem does not read is a usage error, not
+    # something to ignore; only t2 reads the right factor's coloring
+    reads = {operand, "right_coloring"} if args.theorem == "t2" else {operand}
+    for option in ("right", "n", "right_coloring"):
+        if getattr(args, option) is not None and option not in reads:
+            flag = "--" + option.replace("_", "-")
+            raise BadParameter(f"{flag} is not read by {args.theorem}")
     value = getattr(args, operand)
     if value is None:
         raise BadParameter(f"--{operand} is required for {args.theorem}")

@@ -12,13 +12,17 @@ component's paths allow; the BFS walk behind the edge order names them. The
 same path lengths, handed to the search as each edge's eccentricity, confine
 each edge's color to a window, and the class-1 premise (a member has
 chromatic index equal to its max degree) settles overfull and class-2
-graphs without a scan. On small graphs the search also skips, by itself,
-colorings that a symmetry maps to a lexicographically lesser one.
+graphs without a scan. The degree-parity floor rules out, from the degree
+sequence alone, every t below it. On small graphs the search also skips, by
+itself, colorings that a symmetry maps to a lexicographically lesser one.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import reduce
+from itertools import combinations, islice
+from math import comb
+from operator import xor
 
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
@@ -29,6 +33,12 @@ COMPLETE = "complete"
 BUDGET_EXCEEDED = "budget_exceeded"
 OVERFULL = "overfull"
 CLASS_2 = "class 2"
+PARITY = "parity"
+# the parity floor enumerates, per degree class, the XORs of its start sets,
+# and folds the classes of a component into one set of XORs; past this many
+# in either it rules nothing out at that t. The 1,245 non-empty networkx
+# atlas graphs need at most 219 start sets in one class and 174 folded XORs
+PARITY_START_SETS = 256
 
 
 class OracleResult(_Record):
@@ -40,7 +50,8 @@ class OracleResult(_Record):
     witnesses: dict[int, EdgeColoring]
     nodes_explored: int = 0
     status: str = COMPLETE
-    premise: str | None = None  # OVERFULL or CLASS_2 where it settled a non-member
+    # OVERFULL, PARITY or CLASS_2 where that premise settled a non-member
+    premise: str | None = None
 
 
 def find_interval_coloring(
@@ -50,9 +61,10 @@ def find_interval_coloring(
 
     Raises BudgetExceeded when the search gives up, so None is always a proof.
     """
-    if t < 1 or t < g.max_degree or t > g.m or _overfull(g):
+    if t < 1 or t < g.max_degree or t > g.m or _overfull(g) or t < _parity_floor(g, t):
         # properness needs t >= max degree; using every color needs t <= |E|;
-        # an overfull component has no interval coloring (see oracle)
+        # an overfull component, or a t below the parity floor, has no
+        # interval coloring (see oracle)
         return None
     found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True)
     return EdgeColoring(found) if found is not None else None
@@ -151,6 +163,71 @@ def _overfull(g: Graph) -> bool:
     return any(e > 2 * d * (s // 2) for s, e, d in zip(size, twice_m, top))
 
 
+def _parity_floor(g: Graph, limit: int) -> int:
+    """The least t in [max degree, limit] at which every component passes
+    the degree-parity test, or limit + 1 if none does: no interval coloring
+    has fewer colors.
+
+    In an interval t-coloring vertex v holds the colors [s_v, s_v + deg(v)
+    - 1], its block, for a start s_v in [1, t - deg(v) + 1]. Each color
+    class is a matching, so each color lies in the blocks of an even number
+    of a component's vertices: the blocks, as color masks, XOR to zero. Of
+    the N_d vertices of degree d, those sharing a start cancel in pairs; the
+    starts held by an odd number of them form a set of at most N_d starts,
+    with N_d's parity, and any such set arises (the other vertices, an even
+    number, pair up on one start). So a component passes at t when one such
+    start set per degree class gives blocks that XOR to zero
+    (_parity_passes), and the components of an interval t-coloring all do.
+    The same starts serve at t + 1, so the scan stops at the first pass; a
+    component whose every class has even size passes with no odd starts.
+    """
+    root = g._walk[2]
+    # per component, keyed by its BFS root: the size of each degree class
+    components: dict[int, dict[int, int]] = {}
+    for v, d in enumerate(g.degrees):
+        if d:
+            sizes = components.setdefault(root[v], {})
+            sizes[d] = sizes.get(d, 0) + 1
+    t = g.max_degree
+    for sizes in components.values():
+        if any(n % 2 for n in sizes.values()):
+            while t <= limit and not _parity_passes(sizes, t):
+                t += 1
+    return t
+
+
+def _parity_passes(sizes: dict[int, int], t: int) -> bool:
+    """Whether a component with sizes[d] vertices of degree d has, at t, a
+    start set per class whose blocks XOR to zero (see _parity_floor); also
+    True once a class has, or the classes fold to, more than
+    PARITY_START_SETS of them, as the test then rules nothing out.
+
+    The blocks of one width start at distinct colors, so they are
+    independent: distinct start sets give distinct XORs, and binomials
+    count a class's sets before they are listed. Classes fold in by size,
+    and the largest is only intersected with the fold.
+    """
+    per_class = []
+    for d, n in sizes.items():
+        starts = t - d + 1
+        allowed = range(n % 2, min(n, starts) + 1, 2)  # sizes of a start set
+        total = 0
+        for j in allowed:
+            total += comb(starts, j)
+            if total > PARITY_START_SETS:
+                return True
+        blocks = [((1 << d) - 1) << s for s in range(starts)]
+        per_class.append({reduce(xor, held, 0)
+                          for j in allowed for held in combinations(blocks, j)})
+    per_class.sort(key=len)
+    fold = {0}
+    for xors in per_class[:-1]:
+        fold = {f ^ x for f in fold for x in xors}
+        if len(fold) > PARITY_START_SETS:
+            return True
+    return not fold.isdisjoint(per_class[-1])
+
+
 def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact membership, least and greatest feasible t, and witnesses.
 
@@ -159,8 +236,8 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     graphs get every t probed up to search_ceiling until a probe proves
     absence; from then on, up to proven_ceiling. So a graph colorable at
     every t up to |E| (a path, say) never pays for the all-pairs paths, and
-    that computation spends no budget ticks. Two more rules settle or shrink
-    absence proofs, and neither removes a coloring:
+    that computation spends no budget ticks. Three more rules settle or
+    shrink absence proofs, and none removes a coloring:
 
     - Class-1 premise (Asratian and Kamalian, J. Combin. Theory B 62, 1994):
       folding the colors of an interval coloring mod the max degree D gives a
@@ -173,6 +250,13 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       bipartite graph skips it: it is class 1 (Koenig). A regular graph needs
       no such search, as its t = D probe asks the same question. The result's
       premise names the rule that settled a non-member this way.
+    - Degree-parity premise: every t below _parity_floor, whose blocks of
+      colors per vertex cannot XOR to zero in some component, is an absence
+      at 0 nodes (the first one still triggers the class-2 search and the
+      degree-path bound). A floor above search_ceiling makes a complete
+      non-member at 0 nodes with premise PARITY. For K_{m,n} with m or n odd
+      the floor is Kamalian's w = m + n - gcd(m, n) (1989). It costs no
+      budget ticks.
     - Degree-path windows: once the first absence has computed the
       eccentricities behind proven_ceiling, and one component holds every
       edge, every later probe passes them to the search, which confines
@@ -189,20 +273,26 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
         return OracleResult(member=False, w=None, W=None, witnesses={})
     if _overfull(g):
         return OracleResult(member=False, w=None, W=None, witnesses={}, premise=OVERFULL)
+    ceiling = search_ceiling(g)
+    floor = _parity_floor(g, ceiling)
+    if floor > ceiling:
+        return OracleResult(member=False, w=None, W=None, witnesses={}, premise=PARITY)
     tracker = Budget(budget)
     order = bfs_edge_order(g)
     regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
     premise = None
-    ceiling = search_ceiling(g)
     path = ecc = None  # the degree-path bound, paid for at the first absence
     t = g.max_degree
     try:
         # t runs from the max degree up to at most |E|, and no component is
-        # overfull, so none of find_interval_coloring's early exits applies
+        # overfull, so of find_interval_coloring's early exits only the
+        # parity floor applies: below it each probe is an absence at 0 nodes
         while t <= ceiling:
-            found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)
+            found = None
+            if t >= floor:
+                found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
             elif regular:

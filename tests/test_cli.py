@@ -740,6 +740,10 @@ TRANSCRIPT = [
      {}),
     ('construct --theorem t12 --left grid33.g --right p3.g --budget 10 --out o.col', 3, '', '95c72f12701d1987',
      {}),
+    # an operand option the theorem does not read is a usage error
+    ('construct --theorem t16w --left grid33.g --n 2 --right c4.g --right-coloring nothere.col --out o.col',
+     3, '', '96c57399e048b5c6',
+     {}),
 ]
 
 
@@ -809,6 +813,19 @@ def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeyp
                     "--budget", "2000000", "--out", str(tmp_path / "o.col")])
         assert code == 3
         assert capsys.readouterr().err == message
+    # and so is an operand option the theorem does not read: it is reported
+    # before any file is read, so none of these files needs to exist
+    unread = [("t16w", ["--n", "2", "--right", "c4.g"], "--right"),
+              ("t16W", ["--n", "2", "--right-coloring", "c4.col"], "--right-coloring"),
+              ("t12", ["--right", "c4.g", "--n", "2"], "--n"),
+              ("t17", ["--right", "c4.g", "--right-coloring", "c4.col"], "--right-coloring"),
+              ("t16w", ["--right", "c4.g"], "--right")]
+    for theorem, options, flag in unread:
+        code = run(["construct", "--theorem", theorem, "--left", str(tmp_path / "nothere.g"),
+                    *options, "--out", str(tmp_path / "o.col")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {flag} is not read by {theorem}\n"
+    assert not (tmp_path / "o.col").exists()
 
 
 def test_cli_transcript_pin(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import hashlib
 import importlib
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -9,8 +9,10 @@ import gapfree as gf
 from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
 from gapfree.graph import bfs_edge_order
+from gapfree.oracle import PARITY_START_SETS, _parity_floor, _parity_passes
+from gapfree.search import Budget, first_coloring
 
-from helpers import SEED, edge_group, naive_oracle, named, oracle_cached, spectrum
+from helpers import SEED, _naive_exists, edge_group, naive_oracle, named, oracle_cached, spectrum
 
 
 def test_find_c3_cases():
@@ -79,7 +81,10 @@ def test_proven_ceiling_is_sound():
         ceiling, _ = gf.proven_ceiling(g)
         assert ceiling <= g.m, g
         for t in range(ceiling + 1, gf.search_ceiling(g) + 1):
-            assert gf.find_interval_coloring(g, t, 200_000) is None, (g, t)
+            # the search, not find_interval_coloring, whose overfull and
+            # parity exits would answer some probes without it
+            found = first_coloring(g, bfs_edge_order(g), t, Budget(200_000), interval=True)
+            assert found is None, (g, t)
             probes += 1
     assert probes == 175
 
@@ -293,16 +298,17 @@ def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
     # counts recorded with the reflection cut, the degree-path ceiling, the
     # top-color and color-1 cuts, the degree-path windows, the class-1
-    # premise, the lex-leader cut and the orbit bound, none of which moves a
-    # witness. The tensor product (20 vertices, above SYMMETRY_VERTICES) stays
-    # capped: the top-color cut reaches t = 10 within the budget, and its
-    # witnesses for t <= 9 are the ones recorded before it
+    # premise, the lex-leader cut, the orbit bound and the parity floor, none
+    # of which moves a witness. The tensor product (20 vertices, above
+    # SYMMETRY_VERTICES) stays capped: the top-color cut reaches t = 10
+    # within the budget, and its witnesses for t <= 9 are the ones recorded
+    # before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
         (named("grid", 3, 4), (True, 4, 8, "complete", 9655), "135f1f530daa57b5"),
         (named("Q", 3), (True, 3, 6, "complete", 89), "14ffcb31b319e9f5"),
         (named("petersen"), (False, None, None, "complete", 35), "4f53cda18c2baa0c"),
-        (named("kmn", 4, 5), (True, 8, 8, "complete", 1108), "c29c630a20eaeb60"),
+        (named("kmn", 4, 5), (True, 8, 8, "complete", 39), "c29c630a20eaeb60"),
         (named("kmn", 4, 6), (True, 8, 9, "complete", 1861), "350e1de096172874"),
         (tensor, (True, 4, None, "budget_exceeded", 200001), "67b79302397eba1a"),
     ]
@@ -323,9 +329,10 @@ def test_atlas_search_tree_pin():
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
     # degree-path ceiling and windows, the top-color and color-1 cuts, the
-    # class-1 premise, the lex-leader cut and the orbit bound (23,983 nodes in
-    # all). The chi' search runs at a budget that caps a few; recorded from
-    # the recursive search it replaced
+    # class-1 premise, the lex-leader cut, the orbit bound and the parity
+    # floor (21,503 nodes in all, 23,983 without the floor). The chi' search
+    # runs at a budget that caps a few; recorded from the recursive search
+    # it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
     node_digest = hashlib.sha256()
@@ -346,7 +353,7 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "25f65d8184464800"
+    assert node_digest.hexdigest()[:16] == "f57092ba4be0188f"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
@@ -577,18 +584,136 @@ def test_color_1_cut_settles_k6():
         assert gf.verify_interval(g, witness, t).valid
 
 
+def _kmn(m: int, n: int) -> gf.Graph:
+    return gf.build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
 def test_kamalian_complete_bipartite():
     # R. R. Kamalian (1989): K_{m,n} has w = m + n - gcd(m, n) and
-    # W = m + n - 1. The lex-leader cut settles K4,5 in 2,108 nodes and K4,6
-    # in 3,060 (1,242,379 and over 5M without it)
+    # W = m + n - 1. The parity floor and the lex-leader cut settle K4,5 in
+    # 39 nodes (1,108 without the floor, 1,242,379 without either) and the
+    # lex-leader cut K4,6 in 1,861 (over 5M without it)
     pairs = [(m, n) for m in (1, 2, 3) for n in range(max(m, 2), 7) if m + n > 3]
     pairs += [(4, 4), (4, 5), (4, 6)]
     assert len(pairs) == 16
     for m, n in pairs:
-        g = gf.build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-        result = gf.oracle(g)
+        result = gf.oracle(_kmn(m, n))
         assert result.status == "complete"
         assert (result.member, result.w, result.W) == (True, m + n - gcd(m, n), m + n - 1), (m, n)
+    # when m or n is odd, the degree-parity floor alone gives w: it is the
+    # least t at which the m vertices of degree n and the n of degree m can
+    # hold starts whose color blocks cover each color an even number of times
+    for m in range(1, 10):
+        for n in range(1, 10):
+            if m % 2 or n % 2:
+                g = _kmn(m, n)
+                assert _parity_floor(g, g.m) == m + n - gcd(m, n), (m, n)
+
+
+def _brute_parity_floor(g: gf.Graph, limit: int) -> int:
+    """The least t in [max degree, limit], or limit + 1, at which every
+    component has one start s_v in [1, t - deg(v) + 1] per vertex such that
+    the blocks of colors [s_v, s_v + deg(v) - 1] XOR to zero: every tuple
+    of per-vertex starts, folded vertex by vertex into the set of XORs that
+    the tuples reach, with no degree classes and no caps."""
+    nx = pytest.importorskip("networkx")
+    core = nx.Graph(g.edges)
+    t = g.max_degree
+    for component in nx.connected_components(core):
+        while t <= limit:
+            reach = {0}
+            for v in component:
+                d = g.degrees[v]
+                reach = {x ^ ((1 << d) - 1) << s for x in reach for s in range(t - d + 1)}
+            if 0 in reach:
+                break
+            t += 1
+    return t
+
+
+def test_parity_floor_rules_out_only_absent_t():
+    # the naive reference, which knows nothing of parity, finds no interval
+    # t-coloring at any t that the floor rules out, on every non-empty atlas
+    # graph with at most 6 edges
+    nx = pytest.importorskip("networkx")
+    ruled = 0
+    for a in nx.graph_atlas_g():
+        if not 0 < a.number_of_edges() <= 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        floor = _parity_floor(g, g.m)
+        for t in range(g.max_degree, min(floor, g.m + 1)):
+            assert not _naive_exists(g, t), (g, t)
+            ruled += 1
+    assert ruled == 73
+
+
+def test_parity_floor_matches_brute_force():
+    # on every non-empty atlas graph with at most 6 vertices, up to
+    # search_ceiling: the degree classes and start-set counts give the floor
+    # that every combination of per-vertex starts gives
+    above = 0
+    for g in _small_atlas():
+        ceiling = gf.search_ceiling(g)
+        floor = _parity_floor(g, ceiling)
+        assert floor == _brute_parity_floor(g, ceiling), g
+        above += floor > g.max_degree
+    assert above == 37
+
+
+def test_parity_verdict_is_monotone():
+    # the starts that pass at t pass at t + 1, so the scan may stop at the
+    # first pass: per component of every non-empty atlas graph, from its max
+    # degree up to |E|, no pass is followed by a failure
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        if not a.number_of_edges():
+            continue
+        for component in nx.connected_components(a):
+            degrees = [a.degree(v) for v in component]
+            if max(degrees) == 0:
+                continue
+            sizes = {d: degrees.count(d) for d in set(degrees)}
+            verdicts = [_parity_passes(sizes, t)
+                        for t in range(max(degrees), a.number_of_edges() + 1)]
+            assert verdicts == sorted(verdicts), (a, sizes)
+
+
+def test_parity_floor_rules_nothing_out_past_its_cap():
+    # the star K_{1,11} at t = 11: its 11 leaves may hold any odd number of
+    # the 11 starts, 1,024 start sets, past PARITY_START_SETS. The test then
+    # passes that t without listing them, and the star stays a member
+    star = named("kmn", 1, 11)
+    assert comb(11, 1) + comb(11, 3) + comb(11, 5) > PARITY_START_SETS
+    assert _parity_floor(star, star.m) == 11
+    result = gf.oracle(star)
+    assert (result.member, result.w, result.W, result.premise) == (True, 11, 11, None)
+
+
+def test_parity_premise_settles_non_members():
+    # K_{1,1,3}: two vertices of degree 4 and three of degree 2, so 7 edges.
+    # Its blocks never XOR to zero: a block [s, s + d - 1] flips the parity
+    # at s and at s + d, a step of length d. Each point must meet an even
+    # number of steps, so they form closed walks whose signed lengths sum to
+    # 0, and the degrees would split into two parts of equal sum; these sum
+    # to 14, and 7 is no sum of 4s and 2s. So no t up to search_ceiling, 6,
+    # passes, and the floor is 7: a complete non-member at 0 nodes, where
+    # the search took 85. Both entry points return before their first node,
+    # which at budget 0 would raise BudgetExceeded
+    g = named("k113")
+    assert (gf.search_ceiling(g), _parity_floor(g, gf.search_ceiling(g))) == (6, 7)
+    for t in range(g.max_degree, g.m + 1):
+        assert gf.find_interval_coloring(g, t, budget=0) is None, t
+    result = gf.oracle(g, budget=0)
+    assert (result.member, result.status, result.nodes_explored, result.premise) == (
+        False, "complete", 0, "parity")
+    # below its floor, K4,5 probes t = 5..7 at 0 nodes: bipartite, it skips
+    # the class-2 search, and only t = 8 is searched
+    k45 = named("kmn", 4, 5)
+    assert _parity_floor(k45, k45.m) == 8
+    for t in range(5, 8):
+        assert gf.find_interval_coloring(k45, t, budget=0) is None, t
+    assert gf.oracle(k45, budget=39).status == "complete"
 
 
 def _petersen_minus_vertex() -> gf.Graph:
