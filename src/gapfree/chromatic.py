@@ -105,6 +105,18 @@ def bipartite_regular_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(tuple(colors))
 
 
+def _overfull(g: Graph, k: int | None = None) -> bool:
+    """Whether some component C has more than d*floor(|V(C)|/2) edges, with
+    d = k, or C's own max degree when k is None: then chi'(C) > d, as each
+    of d color classes is a matching of at most |V(C)|//2 edges."""
+    degrees = g.degrees
+    for vertices, edges in g._walk[2]:
+        d = max([degrees[v] for v in vertices]) if k is None else k
+        if len(edges) > d * (len(vertices) // 2):
+            return True
+    return False
+
+
 class ChromaticIndexResult(_Record):
     chi_prime: int
     witness: EdgeColoring
@@ -128,8 +140,8 @@ def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIn
         bfs_edge_order(g), key=lambda e: -(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]])
     )
     for k in (delta, delta + 1):
-        if k * (g.n // 2) < g.m:
-            continue  # a color class is a matching of at most n//2 edges
+        if _overfull(g, k):
+            continue
         found = first_coloring(g, order, k, tracker, interval=False)
         if found is not None:
             return ChromaticIndexResult(k, EdgeColoring(found), k == delta)
@@ -140,10 +152,11 @@ def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether a regular graph admits an interval coloring: true iff chi' = max degree.
 
     Edgeless graphs are vacuously class 1 but admit no coloring that uses
-    color 1, so they are reported as non-members.
+    color 1, so they are reported as non-members; so is a graph with an
+    overfull component, before any search (chi' = max degree + 1, Vizing).
     """
     if g.regularity is None:
         raise NotRegular(f"graph is not regular, degrees {set(g.degrees)}")
-    if g.m == 0:
+    if g.m == 0 or _overfull(g):
         return False
     return exact_chromatic_index(g, budget).class1

@@ -131,15 +131,13 @@ def _emit(args, schema: str, fields: dict, text: str | None = None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params: tuple[int, ...]
-    if args.dims:
-        params = _parse_dims(args.dims)
-    elif args.m is not None and args.n is not None:
-        params = (args.m, args.n)
-    elif args.n is not None:
-        params = (args.n,)
-    else:
-        params = ()
+    # --dims, or --n with --m before it: an option the form does not read is an error
+    given = [p for p in (args.m, args.n) if p is not None]
+    if args.dims is not None and given:
+        raise BadParameter(f"--{'n' if args.n is not None else 'm'} is not read with --dims")
+    if args.m is not None and args.n is None:
+        raise BadParameter("--m is not read without --n")
+    params = _parse_dims(args.dims) if args.dims is not None else given
     g = generate(args.family, *params)
     write_edge_list(args.out, g)
     print(f"vertices={g.n} edges={g.m}")
@@ -159,8 +157,9 @@ def _cmd_product(args) -> int:
 
 # theorem -> (option naming the second operand, its check, composer(g, alpha,
 # operand, args, budget)); a right factor arrives read. The check runs before
-# any search for a factor coloring. Composers name their constructor at call
-# time, so a replaced module attribute is the one called.
+# any search for a factor coloring (for t14 and t17, the overfull count too).
+# Composers name their constructor at call time, so a replaced module
+# attribute is the one called.
 _THEOREMS = {
     "t2": ("right", None, lambda g, alpha, h, args, budget: cartesian_interval(
         g, alpha, h, _get_alpha(h, args.right_coloring, budget))),
@@ -168,13 +167,13 @@ _THEOREMS = {
             lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
     "t13": ("right", _require_regular,
             lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
-    "t14": ("right", _require_regular,
+    "t14": ("right", lambda h: _require_regular(h, class1=True),
             lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
     "t16w": ("n", _require_copies,
              lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
     "t16W": ("n", _require_copies,
              lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
-    "t17": ("right", _require_regular,
+    "t17": ("right", lambda h: _require_regular(h, class1=True),
             lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
 }
 

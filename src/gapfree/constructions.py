@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .chromatic import bipartite_regular_coloring, exact_chromatic_index
+from .chromatic import _overfull, bipartite_regular_coloring, exact_chromatic_index
 from .colorings import EdgeColoring, IntervalReport, verify_interval
 from .errors import (
     BadParameter,
@@ -69,12 +69,16 @@ def _validated_alpha(g: Graph, alpha: EdgeColoring) -> int:
     return t
 
 
-def _require_regular(h: Graph) -> int:
+def _require_regular(h: Graph, class1: bool = False) -> int:
+    """The right factor's degree r >= 1; with class1, NotClass1 before any
+    search where an overfull component makes chi' = r + 1 (Vizing)."""
     r = h.regularity
     if not r:
         raise NotRegular(
             f"the right factor must be r-regular with r >= 1, degrees {set(h.degrees)}"
         )
+    if class1 and _overfull(h):
+        raise NotClass1(f"right factor has chi' = {r + 1} > max degree {r}")
     return r
 
 
@@ -84,7 +88,8 @@ def _require_copies(n: int) -> None:
 
 
 def _interval_regular_coloring(h: Graph, budget: int) -> EdgeColoring:
-    """Exact coloring of a regular class-1 graph; every vertex sees all colors."""
+    """Exact coloring of a regular class-1 graph; every vertex sees all colors.
+    Callers check _require_regular(h, class1=True) before this search."""
     ok, _ = is_bipartite(h)
     if ok:
         return bipartite_regular_coloring(h)
@@ -180,7 +185,7 @@ def strong_interval(
     directly above that.
     """
     t = _validated_alpha(g, alpha)
-    r = _require_regular(h)
+    r = _require_regular(h, class1=True)
     h_colors = _by_edge(h, _interval_regular_coloring(h, budget))
     between = _block_rule(ProductKind.STRONG_TENSOR, g, alpha, h, r + 1)
     _, max_s = _spectra_bounds(g, alpha)
@@ -243,7 +248,7 @@ def lex_regular_interval(
     its own cross block, anchored at (min S(u_i) - 1) * n.
     """
     t = _validated_alpha(g, alpha)
-    r = _require_regular(h)
+    r = _require_regular(h, class1=True)
     n = h.n
     h_colors = _by_edge(h, _interval_regular_coloring(h, budget))
     min_s, _ = _spectra_bounds(g, alpha)

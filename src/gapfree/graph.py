@@ -4,14 +4,14 @@ Vertices are the integers 0..n-1. Edges are stored canonically: each pair with
 the smaller endpoint first, the whole list sorted, so an edge's position in the
 list is a stable id. Colorings elsewhere in the package are plain arrays
 indexed by these edge ids. One breadth-first walk, made once per graph, gives
-the searches their edge order, is_bipartite its two sides and the oracle's
-bound its components; the lex-leader cut's generators, and the tables that
-it and the orbit bound read, are cached likewise.
+the searches their edge order, is_bipartite its two sides and the search-free
+rules their list of components; the lex-leader cut's generators, and the
+tables that it and the orbit bound read, are cached likewise.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import islice
@@ -130,32 +130,34 @@ class Graph(_Record):
         return max(self.degrees, default=0)
 
     @cached_property
-    def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
         """One breadth-first walk over every component, restarting at the
         least unvisited vertex, made once per graph. Returns the edge ids in
         discovery order (each listed when its earlier-dequeued endpoint is
-        processed), each vertex's depth parity, and each vertex's component
-        root (the vertex its restart began from)."""
+        processed), each vertex's depth parity, and per component with an
+        edge its vertex ids, ascending, and its part of the edge order."""
         order: list[int] = []
         listed = [False] * len(self.edges)
         side = [0] * self.n
-        root = [-1] * self.n
+        seen = [False] * self.n
+        components = []
         for start in range(self.n):
-            if root[start] != -1:
+            if seen[start] or not self.adjacency[start]:
                 continue
-            root[start] = start
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
+            seen[start] = True
+            first = len(order)
+            queue = [start]  # it grows as the walk goes: iterating it is the BFS
+            for u in queue:
                 for w, e in zip(self.adjacency[u], self.incident[u]):
                     if not listed[e]:
                         listed[e] = True
                         order.append(e)
-                    if root[w] == -1:
-                        root[w] = start
+                    if not seen[w]:
+                        seen[w] = True
                         side[w] = 1 - side[u]
                         queue.append(w)
-        return tuple(order), tuple(side), tuple(root)
+            components.append((tuple(sorted(queue)), tuple(order[first:])))
+        return tuple(order), tuple(side), tuple(components)
 
     @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:

@@ -4,26 +4,30 @@ and greatest feasible color counts, and witness colorings.
 The search (gapfree.search) colors edges in BFS order. Colorings are probed
 for every t from the max degree up to a proven ceiling, so "no result" means
 "no such coloring exists", not "gave up" -- giving up is a distinct
-budget-exceeded state. The ceiling starts at search_ceiling (2|V|-4, at most
-|E|); in a non-regular graph it drops to proven_ceiling's degree-path bound
+budget-exceeded state. One set-up, _rule_out, gives oracle() and
+find_interval_coloring() the rules that need no search, each read off the
+components that the graph's one BFS walk lists: the overfull count of the
+class-1 premise (a member has chromatic index equal to its max degree), the
+degree-parity floor, and search_ceiling (2|V|-4, at most |E|). In a
+non-regular graph the ceiling drops to proven_ceiling's degree-path bound
 at the first t without a coloring: colors along a path rise by at most
 deg - 1 per vertex, so no interval coloring spans more colors than a
-component's paths allow; the BFS walk behind the edge order names them. The
-same path lengths, handed to the search as each edge's eccentricity, confine
-each edge's color to a window, and the class-1 premise (a member has
-chromatic index equal to its max degree) settles overfull and class-2
-graphs without a scan. The degree-parity floor rules out, from the degree
-sequence alone, every t below it. On small graphs the search also skips, by
-itself, colorings that a symmetry maps to a lexicographically lesser one.
+component's paths allow. The same path lengths, handed to the search as
+each edge's eccentricity, confine each edge's color to a window, and a
+proper max-degree search settles class-2 graphs without a scan. On small
+graphs the search also skips, by itself, colorings that a symmetry maps to
+a lexicographically lesser one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from operator import xor
 
+from .chromatic import _overfull
 from .colorings import EdgeColoring
 from .errors import BudgetExceeded
 from .graph import Graph, _Record, bfs_edge_order, is_bipartite
@@ -57,14 +61,13 @@ class OracleResult(_Record):
 def find_interval_coloring(
     g: Graph, t: int, budget: int = DEFAULT_BUDGET
 ) -> EdgeColoring | None:
-    """First interval t-coloring in search order, or None if provably absent.
+    """First interval t-coloring in search order, or None if provably absent:
+    a t outside _rule_out's [floor, ceiling] is absent without a search.
 
     Raises BudgetExceeded when the search gives up, so None is always a proof.
     """
-    if t < 1 or t < g.max_degree or t > g.m or _overfull(g) or t < _parity_floor(g, t):
-        # properness needs t >= max degree; using every color needs t <= |E|;
-        # an overfull component, or a t below the parity floor, has no
-        # interval coloring (see oracle)
+    _, floor, ceiling = _rule_out(g)
+    if not floor <= t <= ceiling:
         return None
     found = first_coloring(g, bfs_edge_order(g), t, Budget(budget), interval=True)
     return EdgeColoring(found) if found is not None else None
@@ -113,22 +116,22 @@ def _degree_path_bound(g: Graph) -> tuple[int, list[int] | None]:
     1 + max ecc over the components (isolated vertices add 0). In one
     component, edges colored 1 and t lie within ecc(e) of e, so e's color
     lies in [t - ecc(e), 1 + ecc(e)]. D is symmetric, so each unordered pair
-    (with e = f) is visited once; a pair across components has gap -1.
+    of edges of one component (with e = f) is visited once.
     """
     weight = [d - 1 for d in g.degrees]
-    rows = [_path_weights(g, weight, v) if g.adjacency[v] else None for v in range(g.n)]
-    ecc = [0] * g.m
-    for i, (a, b) in enumerate(g.edges):
-        near = list(map(min, rows[a], rows[b]))  # min over x in e of D(x, y)
-        gaps = [min(near[c], near[d]) for c, d in islice(g.edges, i, None)]
-        ecc[i:] = map(max, ecc[i:], gaps)  # gap(e, f) for every f >= e
-        ecc[i] = max(ecc[i], max(gaps))
-    root = g._walk[2]
-    widest: dict[int, int] = {}  # per component, keyed by its BFS root
-    for (a, _), gap in zip(g.edges, ecc):
-        widest[root[a]] = max(widest.get(root[a], 0), gap)
-    bound = sum(1 + gap for gap in widest.values())
-    return bound, ecc if len(widest) == 1 else None
+    bound = 0
+    for vertices, edges in g._walk[2]:
+        rows = {v: _path_weights(g, weight, v) for v in vertices}
+        # by edge id, so that in a graph of one component ecc[e] is e's
+        ends = [g.edges[e] for e in sorted(edges)]
+        ecc = [0] * len(ends)
+        for i, (a, b) in enumerate(ends):
+            near = list(map(min, rows[a], rows[b]))  # min over x in e of D(x, y)
+            gaps = [min(near[c], near[d]) for c, d in islice(ends, i, None)]
+            ecc[i:] = map(max, ecc[i:], gaps)  # gap(e, f) for every f >= e
+            ecc[i] = max(ecc[i], max(gaps))
+        bound += 1 + max(ecc)
+    return bound, ecc if len(g._walk[2]) == 1 else None
 
 
 def proven_ceiling(g: Graph) -> tuple[int, str]:
@@ -144,23 +147,6 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
     path = _degree_path_bound(g)[0]
     ceiling = search_ceiling(g)
     return (path, "degree-path") if path <= ceiling else (ceiling, "2|V|-4")
-
-
-def _overfull(g: Graph) -> bool:
-    """Whether a connected component C has more than D(C)*floor(|V(C)|/2)
-    edges, D(C) its max degree: C is then class 2, as each of D(C) color
-    classes is a matching of at most |V(C)|//2 edges."""
-    root = g._walk[2]
-    size = [0] * g.n
-    twice_m = [0] * g.n
-    top = [0] * g.n
-    for v, d in enumerate(g.degrees):
-        r = root[v]
-        size[r] += 1
-        twice_m[r] += d
-        if d > top[r]:
-            top[r] = d
-    return any(e > 2 * d * (s // 2) for s, e, d in zip(size, twice_m, top))
 
 
 def _parity_floor(g: Graph, limit: int) -> int:
@@ -181,15 +167,10 @@ def _parity_floor(g: Graph, limit: int) -> int:
     The same starts serve at t + 1, so the scan stops at the first pass; a
     component whose every class has even size passes with no odd starts.
     """
-    root = g._walk[2]
-    # per component, keyed by its BFS root: the size of each degree class
-    components: dict[int, dict[int, int]] = {}
-    for v, d in enumerate(g.degrees):
-        if d:
-            sizes = components.setdefault(root[v], {})
-            sizes[d] = sizes.get(d, 0) + 1
+    degrees = g.degrees
     t = g.max_degree
-    for sizes in components.values():
+    for vertices, _ in g._walk[2]:
+        sizes = Counter([degrees[v] for v in vertices])  # degree -> class size
         if any(n % 2 for n in sizes.values()):
             while t <= limit and not _parity_passes(sizes, t):
                 t += 1
@@ -228,6 +209,20 @@ def _parity_passes(sizes: dict[int, int], t: int) -> bool:
     return not fold.isdisjoint(per_class[-1])
 
 
+def _rule_out(g: Graph) -> tuple[str | None, int, int]:
+    """(premise, floor, ceiling): every interval t-coloring of g has floor <=
+    t <= ceiling, by search_ceiling and the parity floor. Where no t is left,
+    premise names the rule, OVERFULL or PARITY; an edgeless graph gets floor
+    1, ceiling 0 and no premise, as no coloring of it uses color 1."""
+    if not g.m:
+        return None, 1, 0
+    ceiling = search_ceiling(g)
+    if _overfull(g):
+        return OVERFULL, ceiling + 1, ceiling
+    floor = _parity_floor(g, ceiling)
+    return (PARITY if floor > ceiling else None), floor, ceiling
+
+
 def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact membership, least and greatest feasible t, and witnesses.
 
@@ -237,14 +232,15 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     absence; from then on, up to proven_ceiling. So a graph colorable at
     every t up to |E| (a path, say) never pays for the all-pairs paths, and
     that computation spends no budget ticks. Three more rules settle or
-    shrink absence proofs, and none removes a coloring:
+    shrink absence proofs, none removing a coloring; _rule_out, which
+    find_interval_coloring reads too, applies those that need no search:
 
     - Class-1 premise (Asratian and Kamalian, J. Combin. Theory B 62, 1994):
       folding the colors of an interval coloring mod the max degree D gives a
       proper D-coloring, since each vertex's deg <= D consecutive colors stay
-      distinct mod D. So a graph with an overfull component (_overfull) is a
-      complete non-member at 0 nodes, each component judged by its own max
-      degree as a component of a member is a member. And when the t = D probe
+      distinct mod D. So a graph with an overfull component (_overfull, by
+      the component's own max degree, as a component of a member is a
+      member) is a complete non-member at 0 nodes. And when the t = D probe
       proves absence in a non-regular graph, a proper D-coloring search runs
       on the same budget; if it finds none the graph is not a member. A
       bipartite graph skips it: it is class 1 (Koenig). A regular graph needs
@@ -255,8 +251,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       at 0 nodes (the first one still triggers the class-2 search and the
       degree-path bound). A floor above search_ceiling makes a complete
       non-member at 0 nodes with premise PARITY. For K_{m,n} with m or n odd
-      the floor is Kamalian's w = m + n - gcd(m, n) (1989). It costs no
-      budget ticks.
+      the floor is Kamalian's w = m + n - gcd(m, n) (1989).
     - Degree-path windows: once the first absence has computed the
       eccentricities behind proven_ceiling, and one component holds every
       edge, every later probe passes them to the search, which confines
@@ -269,27 +264,18 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     coloring, so no witness moves. The proper Delta-search gets none: its
     first-use color order already breaks the color symmetry.
     """
-    if g.m == 0:
-        return OracleResult(member=False, w=None, W=None, witnesses={})
-    if _overfull(g):
-        return OracleResult(member=False, w=None, W=None, witnesses={}, premise=OVERFULL)
-    ceiling = search_ceiling(g)
-    floor = _parity_floor(g, ceiling)
+    premise, floor, ceiling = _rule_out(g)
     if floor > ceiling:
-        return OracleResult(member=False, w=None, W=None, witnesses={}, premise=PARITY)
+        return OracleResult(member=False, w=None, W=None, witnesses={}, premise=premise)
     tracker = Budget(budget)
     order = bfs_edge_order(g)
     regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
-    premise = None
     path = ecc = None  # the degree-path bound, paid for at the first absence
     t = g.max_degree
     try:
-        # t runs from the max degree up to at most |E|, and no component is
-        # overfull, so of find_interval_coloring's early exits only the
-        # parity floor applies: below it each probe is an absence at 0 nodes
-        while t <= ceiling:
+        while t <= ceiling:  # below the floor each t is an absence at 0 nodes
             found = None
             if t >= floor:
                 found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)

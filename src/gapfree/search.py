@@ -105,18 +105,13 @@ def first_coloring(
       reflection, which the lex-leader cut never makes, and on an
       edge-transitive graph every first color above 1 at once.
 
-    Both reachability cuts run on orders of up to TOP_CUT_EDGES edges. Over
-    the 1,245 non-empty networkx atlas graphs at 20k nodes each, the top-color
-    cut took oracle nodes from 6,714,904 to 5,056,534; with the color-1 cut
-    and the oracle's windows and class-1 premise they take 3,382,157, with
-    the lex-leader cut 1,998,222, and with the orbit bound 1,696,275, with
-    the same witnesses.
+    Both reachability cuts run on orders of up to TOP_CUT_EDGES edges.
 
     Otherwise the coloring must be proper, with new colors in first-use
     order (which breaks every color permutation already). Properness alone
     keeps each class a matching: one of n//2 edges covers n-1 vertices or
-    more, so no edge left can take its color. Only exact_chromatic_index's
-    skip reads the n//2 bound.
+    more, so no edge left can take its color. Only the overfull count
+    (chromatic._overfull) reads the n//2 bound.
 
     Color c is bit c-1 of every color mask. Each vertex z keeps allow[z],
     the colors it may still take: 1..k less the colors z holds, and in the

@@ -180,6 +180,29 @@ def test_regular_membership_examples():
         gf.regular_membership(named("P", 4))
     # 0-regular and vacuously class 1, but no coloring uses color 1
     assert gf.regular_membership(named("nK1", 3)) is False
+    # an odd clique is overfull, so it is settled before any search: at
+    # budget 0 a search would raise BudgetExceeded
+    assert gf.regular_membership(named("K", 13), budget=0) is False
+
+
+def test_overfull_component_skips_the_delta_search(monkeypatch):
+    # K5 plus an isolated vertex: whole, its 10 edges fit 4 * floor(6/2),
+    # but the K5 component has more than 4 * floor(5/2), so the k = 4 search,
+    # which would fail after 14 nodes, never runs: one proper search, k = 5
+    import gapfree.chromatic
+
+    searches = []
+    search = gapfree.chromatic.first_coloring
+
+    def counted(g, order, k, budget, interval, **cuts):
+        searches.append(k)
+        return search(g, order, k, budget, interval, **cuts)
+
+    monkeypatch.setattr(gapfree.chromatic, "first_coloring", counted)
+    g = gf.build_graph(6, named("K", 5).edges)
+    assert g.m <= 4 * (g.n // 2)
+    result = gf.exact_chromatic_index(g)
+    assert (result.chi_prime, result.class1, searches) == (5, False, [5])
 
 
 def test_t33_is_class_2_with_witness_at_5():

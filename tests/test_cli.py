@@ -532,6 +532,12 @@ TRANSCRIPT = [
      {}),
     ('gen --out x.g', 3, '', '5941dc1bf8f823d7',
      {}),
+    # gen reads --dims, or --n with --m before it; any other option is an
+    # input error before a file is written, not dropped
+    ('gen --family grid --dims 3,3 --n 5 --out g.g', 3, '', '69ebbc39c6b8821c',
+     {}),
+    ('gen --family C --m 5 --out x.g', 3, '', 'a1a819a29cf2d48d',
+     {}),
     ('product --kind cartesian --left p3.g --right c4.g --out cart.g', 0, '638e54a45f3befd3', '',
      {'cart.g': 'b75f072d2e624d54', 'cart.g.prov': 'f6ea3b9d96b0c0de'}),
     ('product --kind tensor --left p3.g --right c4.g --out tens.g', 0, '84968db70c5f292c', '',
@@ -825,6 +831,24 @@ def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeyp
                     *options, "--out", str(tmp_path / "o.col")])
         assert code == 3
         assert capsys.readouterr().err == f"error: {flag} is not read by {theorem}\n"
+    assert not (tmp_path / "o.col").exists()
+
+
+def test_construct_rejects_an_overfull_right_factor_before_searching(tmp_path, capsys):
+    # an odd clique is regular and overfull, so chi' = r + 1 and neither t14
+    # nor t17 can fill its copies: exit 3 at budget 0, before the oracle
+    # searches the left factor, which at budget 0 would exit 2
+    left = tmp_path / "p4.g"
+    gf.write_edge_list(left, gf.generate("P", 4))
+    for n in (13, 17):
+        right = tmp_path / f"k{n}.g"
+        gf.write_edge_list(right, gf.generate("K", n))
+        for theorem in ("t14", "t17"):
+            code = run(["construct", "--theorem", theorem, "--left", str(left), "--right",
+                        str(right), "--budget", "0", "--out", str(tmp_path / "o.col")])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                f"error: right factor has chi' = {n} > max degree {n - 1}\n")
     assert not (tmp_path / "o.col").exists()
 
 

@@ -234,6 +234,33 @@ def test_bfs_edge_order_pin():
     assert digest.hexdigest()[:16] == "5e88957266674710"
 
 
+
+def test_walk_lists_the_components():
+    # per component with an edge, in the walk's order (by least vertex): its
+    # vertex set and its edge ids as networkx finds them; the edge lists,
+    # concatenated, are the BFS edge order. Isolated vertices get no entry
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(SEED + 7)
+    graphs = [gf.build_graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()]
+    for _ in range(200):
+        n, p = rng.randint(1, 40), rng.random() / 4
+        graphs.append(gf.build_graph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    split = 0
+    for g in graphs:
+        ids = {e: k for k, e in enumerate(g.edges)}
+        nxg = nx.Graph(g.edges)
+        want = sorted(
+            (sorted(c), sorted(ids[tuple(sorted(e))] for e in nxg.subgraph(c).edges))
+            for c in nx.connected_components(nxg))
+        components = g._walk[2]
+        assert [(list(v), sorted(e)) for v, e in components] == want, g
+        assert all(list(v) == sorted(v) for v, _ in components)
+        assert sum((e for _, e in components), ()) == bfs_edge_order(g)
+        split += len(components) > 1
+    assert split == 124  # graphs with two or more components that hold an edge
+
+
 # every family name and alias generate() accepts, by parameter count (None: any)
 FAMILY_NAMES = {
     0: ["petersen", "k113", "k_1_1_3", "k13e", "k13+e", "k_1_3_e"],

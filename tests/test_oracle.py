@@ -9,7 +9,7 @@ import gapfree as gf
 from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
 from gapfree.graph import bfs_edge_order
-from gapfree.oracle import PARITY_START_SETS, _parity_floor, _parity_passes
+from gapfree.oracle import PARITY_START_SETS, _parity_floor, _parity_passes, _rule_out
 from gapfree.search import Budget, first_coloring
 
 from helpers import SEED, _naive_exists, edge_group, naive_oracle, named, oracle_cached, spectrum
@@ -766,3 +766,30 @@ def test_class_2_search_settles_non_members(monkeypatch):
     result = gf.oracle(k23)
     assert (result.member, result.w, result.W, result.premise) == (True, 4, 4, None)
     assert proper_searches == [g, g]
+
+
+def test_probes_outside_the_set_up_search_nothing():
+    # find_interval_coloring reads oracle's set-up: every t outside its
+    # [floor, ceiling] is answered None before the first node, which at
+    # budget 0 would raise BudgetExceeded. On every atlas graph with at most
+    # 6 vertices, edgeless ones included, for t from 0 to |E| + 1
+    nx = pytest.importorskip("networkx")
+    outside = 0
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() > 6:
+            continue
+        g = gf.build_graph(a.number_of_nodes(), list(a.edges()))
+        premise, floor, ceiling = _rule_out(g)
+        assert (floor > ceiling) == (premise is not None or g.m == 0), g
+        assert ceiling == gf.search_ceiling(g) and floor >= g.max_degree, g
+        for t in range(g.m + 2):
+            if not floor <= t <= ceiling:
+                assert gf.find_interval_coloring(g, t, budget=0) is None, (g, t)
+                outside += 1
+    assert outside == 1170
+    # K6 and K8 above 2|V| - 4 (8 and 12), up to |E| (15 and 28)
+    for n in (6, 8):
+        g = named("K", n)
+        assert _rule_out(g) == (None, n - 1, 2 * n - 4)
+        for t in range(2 * n - 3, g.m + 1):
+            assert gf.find_interval_coloring(g, t, budget=0) is None, (n, t)
