@@ -8,15 +8,16 @@ budget-exceeded state. One set-up, _rule_out, gives oracle() and
 find_interval_coloring() the rules that need no search, each read off the
 components that the graph's one BFS walk lists: the overfull count of the
 class-1 premise (a member has chromatic index equal to its max degree), the
-degree-parity floor, and search_ceiling (2|V|-4, at most |E|). In a
-non-regular graph the ceiling drops to proven_ceiling's degree-path bound
-at the first t without a coloring: colors along a path rise by at most
-deg - 1 per vertex, so no interval coloring spans more colors than a
-component's paths allow. The same path lengths, handed to the search as
-each edge's eccentricity, confine each edge's color to a window, and a
-proper max-degree search settles class-2 graphs without a scan. On small
-graphs the search also skips, by itself, colorings that a symmetry maps to
-a lexicographically lesser one.
+degree-parity floor, and search_ceiling (2|V|-4, at most |E|). The
+feasible t of any graph form one interval, so the scan ends at the first t
+without a coloring above a witness. At an absence below the first witness
+the ceiling drops to proven_ceiling's degree-path bound instead: colors
+along a path rise by at most deg - 1 per vertex, so no interval coloring
+spans more colors than a component's paths allow. The same path lengths,
+handed to the search as each edge's eccentricity, confine each edge's
+color to a window, and a proper max-degree search settles class-2 graphs
+without a scan. On small graphs the search also skips, by itself,
+colorings that a symmetry maps to a lexicographically lesser one.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def find_interval_coloring(
 def search_ceiling(g: Graph) -> int:
     """The ceiling that needs no path computation: the 2|V|-4 bound (2|V|-3
     below 3 vertices), never below the max degree, capped at |E| since every
-    color needs an edge. oracle() probes up to it until its first absence."""
+    color needs an edge. oracle() probes up to it until its first absence:
+    above a witness that ends the scan, below one it brings in
+    proven_ceiling."""
     raw = 2 * g.n - 4 if g.n >= 3 else 2 * g.n - 3
     return min(max(g.max_degree, raw), g.m)
 
@@ -141,8 +144,8 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
 
     search_ceiling's |E| cap never wins: 1 + D over an induced path counts
     the edges with an end on it. Costs a Dijkstra per vertex and a pass over
-    the unordered edge pairs; oracle() pays it only once a probe has proved
-    absence.
+    the unordered edge pairs; oracle() pays it only at an absence below its
+    first witness.
     """
     path = _degree_path_bound(g)[0]
     ceiling = search_ceiling(g)
@@ -226,12 +229,18 @@ def _rule_out(g: Graph) -> tuple[str | None, int, int]:
 def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact membership, least and greatest feasible t, and witnesses.
 
-    For regular graphs the feasible t values form a contiguous range starting
-    at the max degree, so the scan stops at the first failure. Non-regular
-    graphs get every t probed up to search_ceiling until a probe proves
-    absence; from then on, up to proven_ceiling. So a graph colorable at
-    every t up to |E| (a path, say) never pays for the all-pairs paths, and
-    that computation spends no budget ticks. Three more rules settle or
+    The feasible t values form one interval [w, W], so the scan stops at
+    the first t proved absent once any witness exists: for a connected
+    member this is Asratian and Kamalian's interval-spectrum theorem
+    (Kamalian 1990; see Petrosyan, Discrete Math. 310, 2010), and a
+    disconnected one, sliding each component's colors along 1..t, has an
+    interval t-coloring exactly for t from the largest w of its components
+    to the sum of their W. A regular graph's first t, its max degree, is
+    also its w, so its first absence always ends the scan. Before the first
+    witness every t is probed up to search_ceiling until a probe proves
+    absence; from then on, up to proven_ceiling. So a graph whose absences
+    all lie above W (a path, grid 3x3) never pays for the all-pairs paths,
+    and that computation spends no budget ticks. Three more rules settle or
     shrink absence proofs, none removing a coloring; _rule_out, which
     find_interval_coloring reads too, applies those that need no search:
 
@@ -252,7 +261,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       degree-path bound). A floor above search_ceiling makes a complete
       non-member at 0 nodes with premise PARITY. For K_{m,n} with m or n odd
       the floor is Kamalian's w = m + n - gcd(m, n) (1989).
-    - Degree-path windows: once the first absence has computed the
+    - Degree-path windows: once an absence below w has computed the
       eccentricities behind proven_ceiling, and one component holds every
       edge, every later probe passes them to the search, which confines
       edge e to the colors [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
@@ -272,7 +281,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
-    path = ecc = None  # the degree-path bound, paid for at the first absence
+    path = ecc = None  # the degree-path bound, paid for at an absence below w
     t = g.max_degree
     try:
         while t <= ceiling:  # below the floor each t is an absence at 0 nodes
@@ -281,10 +290,10 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
                 found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
-            elif regular:
+            elif regular or witnesses:
                 break
             elif path is None:
-                if (not witnesses and not is_bipartite(g)[0]
+                if (not is_bipartite(g)[0]
                         and first_coloring(g, order, t, tracker, interval=False) is None):
                     premise = CLASS_2
                     break

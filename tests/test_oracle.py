@@ -103,7 +103,10 @@ def test_naive_w_within_proven_ceiling():
 
 def test_path_never_computes_proven_ceiling(monkeypatch):
     # every probe of P60 finds a coloring up to |E|, so no probe proves
-    # absence and the all-pairs paths behind proven_ceiling are never paid for
+    # absence and the all-pairs paths behind proven_ceiling are never paid for.
+    # Grid 3x3's first absence, t = 7, comes after its witnesses and ends the
+    # scan, so it never pays either; K4,5's first, t = 5 below its parity
+    # floor, comes before w = 8 and pays once
     module = importlib.import_module("gapfree.oracle")
     calls = []
     pair_pass = module._degree_path_bound
@@ -117,8 +120,9 @@ def test_path_never_computes_proven_ceiling(monkeypatch):
     result = gf.oracle(path)
     assert (result.member, result.w, result.W, result.status) == (True, 2, 59, "complete")
     assert calls == []
-    grid = named("grid", 3, 3)
-    assert gf.oracle(grid).W == 6 and calls == [grid]
+    assert gf.oracle(named("grid", 3, 3)).W == 6 and calls == []
+    k45 = named("kmn", 4, 5)
+    assert gf.oracle(k45).w == 8 and calls == [k45]
 
 
 def test_oracle_k4():
@@ -219,6 +223,96 @@ def test_regular_contiguity():
             assert (result.w, result.W) == (feasible[0], feasible[-1])
         else:
             assert result.member is False
+
+
+def _atlas(index: int) -> gf.Graph:
+    nx = pytest.importorskip("networkx")
+    a = nx.graph_atlas_g()[index]
+    return gf.build_graph(a.number_of_nodes(), list(a.edges()))
+
+
+def test_no_coloring_between_W_and_the_ceiling():
+    # the interval-spectrum theorem behind the oracle's stop at its first
+    # absence above a witness: the probes that stop skips, run here without
+    # it, find nothing. Every member among the non-empty atlas graphs on at
+    # most 6 vertices, grid 3x3, Q3, K4,6 and atlas 1223, 1236 and 1244 (the
+    # three whose absences above W capped them at 20k nodes without the stop)
+    graphs = list(_small_atlas())
+    graphs += [named("grid", 3, 3), named("Q", 3), named("kmn", 4, 6),
+               _atlas(1223), _atlas(1236), _atlas(1244)]
+    probes = 0
+    for g in graphs:
+        result = gf.oracle(g, 200_000)
+        assert result.status == "complete"
+        if not result.member:
+            continue
+        for t in range(result.W + 1, gf.proven_ceiling(g)[0] + 1):
+            assert gf.find_interval_coloring(g, t) is None, (g, t)
+            probes += 1
+    assert probes == 157
+
+
+def _disjoint_union(*parts: gf.Graph) -> gf.Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return gf.build_graph(n, edges)
+
+
+def test_disjoint_union_spectrum():
+    # shifting each component's colors, any t from the largest w of the
+    # components up to the sum of their W is covered with no gap, and no
+    # other t is: the oracle, which stops at its first absence above a
+    # witness, must give (max w_i, sum W_i) with a witness at every t between
+    unions = [
+        ((named("P", 3), named("C", 4)), (2, 5)),
+        ((named("K", 4), named("P", 5)), (3, 8)),
+        ((named("grid", 2, 3), named("kmn", 2, 3)), (4, 9)),
+        ((named("C", 6), named("kmn", 3, 4), named("P", 4)), (6, 13)),
+    ]
+    for parts, want in unions:
+        own = [oracle_cached(part) for part in parts]
+        assert (max(r.w for r in own), sum(r.W for r in own)) == want, parts
+        g = _disjoint_union(*parts)
+        result = gf.oracle(g)
+        assert (result.member, result.w, result.W, result.status) == (True, *want, "complete")
+        assert sorted(result.witnesses) == list(range(want[0], want[1] + 1))
+        for t, witness in result.witnesses.items():
+            assert gf.verify_interval(g, witness, t).valid
+
+
+def test_spectrum_stop_settles_capped_atlas_graphs():
+    # their proofs of absence above W took these three past 20k nodes
+    # (24,531, 21,326 and 21,094 nodes to complete); the verdicts are
+    # perfbench/atlas_verdicts.json's
+    for index, want in [
+        (1223, (True, 7, 7, 13_700)),
+        (1236, (True, 7, 8, 14_007)),
+        (1244, (True, 8, 8, 14_982)),
+    ]:
+        result = gf.oracle(_atlas(index), 20_000)
+        assert result.status == "complete"
+        assert (result.member, result.w, result.W, result.nodes_explored) == want, index
+
+
+def test_spectrum_stop_probes(monkeypatch):
+    # atlas 1194 (max degree 5, parity floor 6): t = 5 is ruled out without
+    # an interval probe, so the proper 5-coloring search runs there; w = 6,
+    # W = 7, and the absence at t = 8 ends the scan, so t = 9, its
+    # degree-path ceiling, is never probed
+    module = importlib.import_module("gapfree.oracle")
+    calls = []
+    search = module.first_coloring
+
+    def counted(g, order, t, tracker, interval, ecc=None):
+        calls.append((t, interval))
+        return search(g, order, t, tracker, interval=interval, ecc=ecc)
+
+    monkeypatch.setattr(module, "first_coloring", counted)
+    result = gf.oracle(_atlas(1194))
+    assert (result.w, result.W, result.nodes_explored) == (6, 7, 5483)
+    assert calls == [(5, False), (6, True), (7, True), (8, True)]
 
 
 def test_naive_agreement_on_random_graphs():
@@ -329,8 +423,9 @@ def test_atlas_search_tree_pin():
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
     # degree-path ceiling and windows, the top-color and color-1 cuts, the
-    # class-1 premise, the lex-leader cut, the orbit bound and the parity
-    # floor (21,503 nodes in all, 23,983 without the floor). The chi' search
+    # class-1 premise, the lex-leader cut, the orbit bound, the parity floor
+    # and the interval-spectrum stop (18,311 nodes in all, 21,503 without the
+    # stop, 23,983 without the floor either). The chi' search
     # runs at a budget that caps a few; recorded from the recursive search
     # it replaced
     nx = pytest.importorskip("networkx")
@@ -353,7 +448,7 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "f57092ba4be0188f"
+    assert node_digest.hexdigest()[:16] == "54bdc5301cd8732f"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
