@@ -123,6 +123,20 @@ class ChromaticIndexResult(_Record):
     class1: bool
 
 
+def _max_degree_search(g: Graph, tracker: Budget) -> tuple[list[int], tuple[int, ...] | None]:
+    """The chi' search's edge order, descending degree sum with BFS order
+    breaking ties, and the first proper max-degree coloring in that order,
+    or None when none exists (at once where g is overfull at its max degree).
+    """
+    # a stable sort keeps BFS order among equal degree sums
+    order = sorted(
+        bfs_edge_order(g), key=lambda e: -(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]])
+    )
+    if _overfull(g, g.max_degree):
+        return order, None
+    return order, first_coloring(g, order, g.max_degree, tracker, interval=False)
+
+
 def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIndexResult:
     """Exact chi' with a witness; raises BudgetExceeded when the search gives up.
 
@@ -135,17 +149,15 @@ def exact_chromatic_index(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticIn
     if g.m == 0:
         return ChromaticIndexResult(0, EdgeColoring(()), True)
     tracker = Budget(budget)
-    # a stable sort keeps BFS order among equal degree sums
-    order = sorted(
-        bfs_edge_order(g), key=lambda e: -(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]])
-    )
-    for k in (delta, delta + 1):
-        if _overfull(g, k):
-            continue
-        found = first_coloring(g, order, k, tracker, interval=False)
-        if found is not None:
-            return ChromaticIndexResult(k, EdgeColoring(found), k == delta)
-    raise AssertionError("no (max degree + 1)-edge-coloring found; simple graphs always have one")
+    order, found = _max_degree_search(g, tracker)
+    if found is not None:
+        return ChromaticIndexResult(delta, EdgeColoring(found), True)
+    # no overfull test at delta + 1: a component of n_c vertices has at most
+    # n_c * min(delta, n_c - 1) / 2 <= (delta + 1) * (n_c // 2) edges
+    found = first_coloring(g, order, delta + 1, tracker, interval=False)
+    if found is None:
+        raise AssertionError("no (max degree + 1)-edge-coloring found; simple graphs always have one")
+    return ChromaticIndexResult(delta + 1, EdgeColoring(found), False)
 
 
 def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
@@ -154,9 +166,9 @@ def regular_membership(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     Edgeless graphs are vacuously class 1 but admit no coloring that uses
     color 1, so they are reported as non-members; so is a graph with an
     overfull component, before any search (chi' = max degree + 1, Vizing).
+    Only the max-degree search runs, so the budget need not cover a
+    (max degree + 1)-coloring of a class-2 graph.
     """
     if g.regularity is None:
         raise NotRegular(f"graph is not regular, degrees {set(g.degrees)}")
-    if g.m == 0 or _overfull(g):
-        return False
-    return exact_chromatic_index(g, budget).class1
+    return g.m > 0 and _max_degree_search(g, Budget(budget))[1] is not None

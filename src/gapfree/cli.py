@@ -82,14 +82,15 @@ def _parse_params(text: str | None) -> dict[str, int]:
     return out
 
 
-def _node_count(text: str) -> int:
-    """Parse a search budget: a non-negative number of nodes."""
+def _non_negative(text: str, what: str = "budget") -> int:
+    """Parse a search budget, a non-negative number of nodes, or another
+    non-negative integer named `what`."""
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what} must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -98,7 +99,7 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("INTERVAL_BUDGET")
     try:
-        return _node_count(env) if env else DEFAULT_BUDGET
+        return _non_negative(env) if env else DEFAULT_BUDGET
     except argparse.ArgumentTypeError as exc:
         raise BadParameter(f"INTERVAL_BUDGET: {exc}") from None
 
@@ -335,7 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="copy count for t16w/t16W")
     p.add_argument("--out", required=True)
     p.add_argument("--product-out", dest="product_out")
-    p.add_argument("--budget", type=_node_count)
+    p.add_argument("--budget", type=_non_negative)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph file")
@@ -345,8 +346,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive membership / least / greatest search")
     p.add_argument("graph")
-    p.add_argument("--t", type=int, help="probe a single color count")
-    p.add_argument("--budget", type=_node_count)
+    # t = 0 is a verdict (verify accepts a t=0 header); a negative t is a usage error
+    p.add_argument("--t", type=lambda text: _non_negative(text, "t"),
+                   help="probe a single color count")
+    p.add_argument("--budget", type=_non_negative)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
@@ -373,7 +376,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chi-prime", help="exact chromatic index of a small graph")
     p.add_argument("graph")
-    p.add_argument("--budget", type=_node_count)
+    p.add_argument("--budget", type=_non_negative)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_chi_prime)

@@ -13,11 +13,10 @@ feasible t of any graph form one interval, so the scan ends at the first t
 without a coloring above a witness. At an absence below the first witness
 the ceiling drops to proven_ceiling's degree-path bound instead: colors
 along a path rise by at most deg - 1 per vertex, so no interval coloring
-spans more colors than a component's paths allow. The same path lengths,
-handed to the search as each edge's eccentricity, confine each edge's
-color to a window, and a proper max-degree search settles class-2 graphs
-without a scan. On small graphs the search also skips, by itself,
-colorings that a symmetry maps to a lexicographically lesser one.
+spans more colors than a component's paths allow. A proper max-degree
+search settles class-2 graphs without a scan. On small graphs the search
+also skips, by itself, colorings that a symmetry maps to a lexicographically
+lesser one.
 """
 
 from __future__ import annotations
@@ -104,37 +103,32 @@ def _path_weights(g: Graph, weight: list[int], source: int) -> list[int]:
     return dist
 
 
-def _degree_path_bound(g: Graph) -> tuple[int, list[int] | None]:
-    """The degree-path bound on t, and each edge's eccentricity when one
-    component holds every edge (else None).
+def _degree_path_bound(g: Graph) -> int:
+    """The degree-path bound on t.
 
     With vertex weight deg - 1, gap(e, f) is the min over x in e, y in f of
-    D(x, y), and ecc(e) the max of gap(e, f) over the edges f of e's
-    component. Along a path x0..xk from an end of e to an end of f,
+    D(x, y). Along a path x0..xk from an end of e to an end of f,
     consecutive path edges (and e at x0, f at xk) meet at a vertex whose
     colors form an interval of deg colors, so they differ by at most deg - 1
     there: the colors of e and f differ by at most gap(e, f). So a
-    component's colors fit in an interval of 1 + max ecc colors, the
-    components' colors together cover 1..t, and the bound is the sum of
-    1 + max ecc over the components (isolated vertices add 0). In one
-    component, edges colored 1 and t lie within ecc(e) of e, so e's color
-    lies in [t - ecc(e), 1 + ecc(e)]. D is symmetric, so each unordered pair
-    of edges of one component (with e = f) is visited once.
+    component's colors fit in an interval of 1 + its largest gap(e, f)
+    colors, the components' colors together cover 1..t, and the bound is
+    the sum of these terms over the components (isolated vertices add 0).
+    D is symmetric, so each unordered pair of edges of one component (with
+    e = f) is visited once.
     """
     weight = [d - 1 for d in g.degrees]
     bound = 0
     for vertices, edges in g._walk[2]:
         rows = {v: _path_weights(g, weight, v) for v in vertices}
-        # by edge id, so that in a graph of one component ecc[e] is e's
-        ends = [g.edges[e] for e in sorted(edges)]
-        ecc = [0] * len(ends)
+        ends = [g.edges[e] for e in edges]
+        widest = 0  # the largest gap(e, f) of the component so far
         for i, (a, b) in enumerate(ends):
             near = list(map(min, rows[a], rows[b]))  # min over x in e of D(x, y)
             gaps = [min(near[c], near[d]) for c, d in islice(ends, i, None)]
-            ecc[i:] = map(max, ecc[i:], gaps)  # gap(e, f) for every f >= e
-            ecc[i] = max(ecc[i], max(gaps))
-        bound += 1 + max(ecc)
-    return bound, ecc if len(g._walk[2]) == 1 else None
+            widest = max(widest, max(gaps))  # gap(e, f) for every f from e on
+        bound += 1 + widest
+    return bound
 
 
 def proven_ceiling(g: Graph) -> tuple[int, str]:
@@ -147,7 +141,7 @@ def proven_ceiling(g: Graph) -> tuple[int, str]:
     the unordered edge pairs; oracle() pays it only at an absence below its
     first witness.
     """
-    path = _degree_path_bound(g)[0]
+    path = _degree_path_bound(g)
     ceiling = search_ceiling(g)
     return (path, "degree-path") if path <= ceiling else (ceiling, "2|V|-4")
 
@@ -240,7 +234,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     witness every t is probed up to search_ceiling until a probe proves
     absence; from then on, up to proven_ceiling. So a graph whose absences
     all lie above W (a path, grid 3x3) never pays for the all-pairs paths,
-    and that computation spends no budget ticks. Three more rules settle or
+    and that computation spends no budget ticks. Two more rules settle or
     shrink absence proofs, none removing a coloring; _rule_out, which
     find_interval_coloring reads too, applies those that need no search:
 
@@ -261,10 +255,6 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
       degree-path bound). A floor above search_ceiling makes a complete
       non-member at 0 nodes with premise PARITY. For K_{m,n} with m or n odd
       the floor is Kamalian's w = m + n - gcd(m, n) (1989).
-    - Degree-path windows: once an absence below w has computed the
-      eccentricities behind proven_ceiling, and one component holds every
-      edge, every later probe passes them to the search, which confines
-      edge e to the colors [t - ecc(e), 1 + ecc(e)] (see _degree_path_bound).
 
     On graphs with at most SYMMETRY_VERTICES vertices the search applies
     the lex-leader cut and the orbit bound to every interval probe by itself
@@ -281,13 +271,13 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     regular = g.regularity is not None
     witnesses: dict[int, EdgeColoring] = {}
     status = COMPLETE
-    path = ecc = None  # the degree-path bound, paid for at an absence below w
+    path = None  # the degree-path bound, paid for at an absence below w
     t = g.max_degree
     try:
         while t <= ceiling:  # below the floor each t is an absence at 0 nodes
             found = None
             if t >= floor:
-                found = first_coloring(g, order, t, tracker, interval=True, ecc=ecc)
+                found = first_coloring(g, order, t, tracker, interval=True)
             if found is not None:
                 witnesses[t] = EdgeColoring(found)
             elif regular or witnesses:
@@ -297,7 +287,7 @@ def oracle(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
                         and first_coloring(g, order, t, tracker, interval=False) is None):
                     premise = CLASS_2
                     break
-                path, ecc = _degree_path_bound(g)
+                path = _degree_path_bound(g)
                 ceiling = min(ceiling, path)
             t += 1
     except BudgetExceeded:

@@ -38,7 +38,6 @@ def first_coloring(
     k: int,
     budget: Budget,
     interval: bool,
-    ecc: Sequence[int] | None = None,
 ) -> tuple[int, ...] | None:
     """Colors by edge id of the first coloring with colors 1..k, or None if
     none exists.
@@ -68,10 +67,6 @@ def first_coloring(
       c >= deg(z) + 1, since its colors then start at c - deg(z) + 1 >= 2; a
       node is cut when color 1 is unused and every edge from it on has an end
       shut from below.
-    - Windows, with `ecc`, optional: per edge id, a bound on how far its color
-      lies from any other edge's in every interval k-coloring. Some edge
-      takes 1 and some k, so edge e tries only [k - ecc(e), 1 + ecc(e)], a
-      window that reflection maps onto itself.
     - Lex-leader (Crawford, Ginsberg, Luks and Roy, KR 1996), on g with at
       most SYMMETRY_VERTICES vertices and `order` its BFS order, over the
       edge permutations in Graph._automorphisms; the tables that it and the
@@ -95,15 +90,13 @@ def first_coloring(
       k-colorings, so a is no greater than either, and both comparisons
       start at position 0, with a(s(e0)) and k+1 - a(s(e0)); every f in O is
       some s(e0). So each time position 0 takes c, the node at depth 1 sets
-      the windows of O's positions to [c, k+1-c], and no witness moves. That
-      window lies within the one ecc gives f, which it replaces: ecc(f) =
-      ecc(e0) for the oracle's ecc, which automorphisms keep, and c lies in
-      [k - ecc(e0), 1 + ecc(e0)]. Once c > 1, O's edges can place neither
-      color 1 nor color k, so that node also drops O's positions from the
-      masks the two reachability cuts start from. This prunes nodes that the
-      lex-leader cut visits only to kill them, the comparisons with
-      reflection, which the lex-leader cut never makes, and on an
-      edge-transitive graph every first color above 1 at once.
+      the windows of O's positions to [c, k+1-c], and no witness moves. Once
+      c > 1, O's edges can place neither color 1 nor color k, so that node
+      also drops O's positions from the masks the two reachability cuts
+      start from. This prunes nodes that the lex-leader cut visits only to
+      kill them, the comparisons with reflection, which the lex-leader cut
+      never makes, and on an edge-transitive graph every first color above 1
+      at once.
 
     Both reachability cuts run on orders of up to TOP_CUT_EDGES edges.
 
@@ -150,14 +143,11 @@ def first_coloring(
         # (isolated vertices get None: they hold no edge)
         tables = {d: _near(d, k) for d in set(g.degrees) - {0}}
         near_of = list(map(tables.get, g.degrees))
-        # span[p]: the colors of position p's window; the first edge's top
-        # is the reflection cut's (k+1)//2
+        # span[p]: the colors of position p's window: 1..k, but the
+        # reflection cut's 1..(k+1)//2 at position 0 and the orbit bound's
+        # [c, k+1-c] in the first edge's orbit
         span = [full] * m
-        if ecc is not None:
-            for p, e in enumerate(order):
-                s = max(0, k - 1 - ecc[e])  # the window: 1..k less s colors at each end
-                span[p] = full >> s >> s << s
-        span[0] &= (1 << (k + 1) // 2) - 1
+        span[0] = (1 << (k + 1) // 2) - 1
         # need[p]: the palette rule fires at p when fewer than need[p] colors
         # are used, as k - used colors then outnumber the m - p - 1 edges
         # after p

@@ -245,6 +245,17 @@ def test_budget_is_exact():
     assert gf.exact_chromatic_index(petersen, budget=77).chi_prime == 4
 
 
+def test_regular_membership_reads_only_the_max_degree_search():
+    # Petersen's 3-coloring search proves class 2 after 59 nodes: that
+    # settles membership, with no budget left over for the 4-coloring that
+    # exact_chromatic_index goes on to find
+    petersen = named("petersen")
+    assert gf.regular_membership(petersen, budget=59) is False
+    with pytest.raises(BudgetExceeded) as exc:
+        gf.regular_membership(petersen, budget=58)
+    assert exc.value.nodes == 59
+
+
 def test_cli_long_path(tmp_path, capsys):
     graph = tmp_path / "p1500.g"
     out = tmp_path / "p1500.col"

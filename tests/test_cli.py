@@ -414,6 +414,20 @@ def test_bad_budgets_exit_3(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_negative_t_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would claim that no coloring exists; t = 0 stays a verdict, as
+    # verify accepts a t=0 header
+    g = tmp_path / "p4.g"
+    run(["gen", "--family", "P", "--n", "4", "--out", str(g)])
+    capsys.readouterr()
+    for value in ("-5", "-1"):
+        assert run(["oracle", str(g), "--t", value]) == 3
+        assert capsys.readouterr().err == (
+            f"usage error: argument --t: t must be a non-negative integer, got '{value}'\n")
+    assert run(["oracle", str(g), "--t", "0"]) == 1
+    assert capsys.readouterr().out == "no interval 0-coloring exists\n"
+
+
 def test_non_ascii_files_exit_3(tmp_path, capsys):
     good = tmp_path / "k2.g"
     run(["gen", "--family", "K", "--n", "2", "--out", str(good)])
@@ -595,6 +609,9 @@ TRANSCRIPT = [
     ('INTERVAL_BUDGET=abc oracle k2.g', 3, '', '21b9acacc268d381',
      {}),
     ('oracle k2.g --budget -5', 3, '', '9964958b8650bce9',
+     {}),
+    # a negative color count is a usage error, not a negative verdict
+    ('oracle p4.g --t -5', 3, '', '61dfe7a08d25ce80',
      {}),
     ('oracle missing.g', 3, '', '9f7e8fb8245adae0',
      {}),

@@ -9,7 +9,13 @@ import gapfree as gf
 from gapfree.cli import run
 from gapfree.errors import BudgetExceeded
 from gapfree.graph import bfs_edge_order
-from gapfree.oracle import PARITY_START_SETS, _parity_floor, _parity_passes, _rule_out
+from gapfree.oracle import (
+    PARITY_START_SETS,
+    _degree_path_bound,
+    _parity_floor,
+    _parity_passes,
+    _rule_out,
+)
 from gapfree.search import Budget, first_coloring
 
 from helpers import SEED, _naive_exists, edge_group, naive_oracle, named, oracle_cached, spectrum
@@ -305,9 +311,9 @@ def test_spectrum_stop_probes(monkeypatch):
     calls = []
     search = module.first_coloring
 
-    def counted(g, order, t, tracker, interval, ecc=None):
+    def counted(g, order, t, tracker, interval):
         calls.append((t, interval))
-        return search(g, order, t, tracker, interval=interval, ecc=ecc)
+        return search(g, order, t, tracker, interval=interval)
 
     monkeypatch.setattr(module, "first_coloring", counted)
     result = gf.oracle(_atlas(1194))
@@ -391,12 +397,11 @@ def _witness_digest(witnesses) -> str:
 def test_search_tree_pins():
     # witnesses recorded from the recursive search this engine replaced; node
     # counts recorded with the reflection cut, the degree-path ceiling, the
-    # top-color and color-1 cuts, the degree-path windows, the class-1
-    # premise, the lex-leader cut, the orbit bound and the parity floor, none
-    # of which moves a witness. The tensor product (20 vertices, above
-    # SYMMETRY_VERTICES) stays capped: the top-color cut reaches t = 10
-    # within the budget, and its witnesses for t <= 9 are the ones recorded
-    # before it
+    # top-color and color-1 cuts, the class-1 premise, the lex-leader cut, the
+    # orbit bound and the parity floor, none of which moves a witness. The
+    # tensor product (20 vertices, above SYMMETRY_VERTICES) stays capped: the
+    # top-color cut reaches t = 10 within the budget, and its witnesses for
+    # t <= 9 are the ones recorded before it
     tensor = gf.product(gf.ProductKind.TENSOR, named("P", 4), named("C", 5)).graph
     pins = [
         (named("grid", 3, 4), (True, 4, 8, "complete", 9655), "135f1f530daa57b5"),
@@ -422,12 +427,12 @@ def test_atlas_search_tree_pin():
     # every non-empty atlas graph on at most 6 vertices. The oracle runs at a
     # budget that completes all of them: its verdicts and witnesses were
     # recorded before the reflection cut, its node counts after it, the
-    # degree-path ceiling and windows, the top-color and color-1 cuts, the
-    # class-1 premise, the lex-leader cut, the orbit bound, the parity floor
-    # and the interval-spectrum stop (18,311 nodes in all, 21,503 without the
-    # stop, 23,983 without the floor either). The chi' search
-    # runs at a budget that caps a few; recorded from the recursive search
-    # it replaced
+    # degree-path ceiling, the top-color and color-1 cuts, the class-1
+    # premise, the lex-leader cut, the orbit bound, the parity floor and the
+    # interval-spectrum stop (18,375 nodes in all; 18,311 while the search
+    # also took degree-path windows, 21,503 without the stop, 23,983 without
+    # the floor either). The chi' search runs at a budget that caps a few;
+    # recorded from the recursive search it replaced
     nx = pytest.importorskip("networkx")
     witness_digest = hashlib.sha256()
     node_digest = hashlib.sha256()
@@ -448,7 +453,7 @@ def test_atlas_search_tree_pin():
         except BudgetExceeded as exc:
             chi_digest.update(repr(("budget", exc.nodes, str(exc))).encode())
     assert witness_digest.hexdigest()[:16] == "637b04407a44d277"
-    assert node_digest.hexdigest()[:16] == "54bdc5301cd8732f"
+    assert node_digest.hexdigest()[:16] == "494992b19673cad8"
     assert chi_digest.hexdigest()[:16] == "08f375341e34e90a"
 
 
@@ -644,10 +649,11 @@ def _brute_eccentricities(g: gf.Graph) -> list[int]:
 
 
 def test_witnesses_lie_in_degree_path_windows():
-    # in a graph whose edges share one component, an interval t-coloring
-    # colors e within [t - ecc(e), 1 + ecc(e)]. The atlas witnesses (pinned
-    # by test_atlas_search_tree_pin since before the windows existed) are
-    # checked against eccentricities recomputed here by brute force
+    # the gap argument that proven_ceiling rests on: in a graph whose edges
+    # share one component, an interval t-coloring colors e within ecc(e) of
+    # the edges colored 1 and t, so within [t - ecc(e), 1 + ecc(e)]. The
+    # atlas witnesses (pinned by test_atlas_search_tree_pin) are checked
+    # against eccentricities recomputed here by brute force
     nx = pytest.importorskip("networkx")
     checked = 0
     for g in _small_atlas():
@@ -662,11 +668,30 @@ def test_witnesses_lie_in_degree_path_windows():
     assert checked > 300
 
 
+def test_degree_path_bound_matches_brute_force():
+    # the pair pass keeps one running maximum per component: its bound is the
+    # sum over the components of 1 + their largest eccentricity, recomputed
+    # here by brute force on each component alone
+    nx = pytest.importorskip("networkx")
+    graphs = split = 0
+    for g in _small_atlas():
+        parts = [sorted(c) for c in nx.connected_components(nx.Graph(g.edges))]
+        want = 0
+        for part in parts:
+            at = {v: i for i, v in enumerate(part)}
+            sub = gf.build_graph(len(part), [(at[x], at[y]) for x, y in g.edges if x in at])
+            want += 1 + max(_brute_eccentricities(sub))
+        assert _degree_path_bound(g) == want, g
+        graphs += 1
+        split += len(parts) > 1
+    assert (graphs, split) == (202, 17)
+
+
 def test_color_1_cut_settles_k6():
     # K6 is networkx atlas graph 208. Without the color-1 cut 20k nodes run
     # out at t = 7; the verdict and witnesses below were recorded without it
-    # at a budget that completes (29,702 nodes). K6 is regular, so neither
-    # the windows nor the class-2 search play a part
+    # at a budget that completes (29,702 nodes). K6 is regular, so the
+    # class-2 search plays no part
     g = named("K", 6)
     result = gf.oracle(g, 20_000)
     assert (result.member, result.w, result.W, result.status) == (True, 5, 7, "complete")
