@@ -212,17 +212,17 @@ def _cmd_verify(args) -> int:
     t, coloring = load_coloring(args.coloring, g)
     report = verify_interval(g, coloring, t)
     violation = "gapfree.violation/1"
-    rows = [
-        *({"schema": violation, "kind": "properness", "vertex": v.vertex,
-           "edges": [v.first_edge, v.second_edge], "color": v.color}
-          for v in report.properness_violations),
-        *({"schema": violation, "kind": "gap", "vertex": v.vertex, "colors": list(v.colors)}
-          for v in report.gap_violations),
-        *({"schema": violation, "kind": "palette", "color": c} for c in report.unused_colors),
-        {"schema": "gapfree.verify/1", "valid": report.valid, "t": report.t},
-    ]
-    for row in rows:
-        print(json.dumps(row))
+    # each row is printed as it is made: a report of every violation is not
+    # held a second time as rows
+    for v in report.properness_violations:
+        print(json.dumps({"schema": violation, "kind": "properness", "vertex": v.vertex,
+                          "edges": [v.first_edge, v.second_edge], "color": v.color}))
+    for v in report.gap_violations:
+        print(json.dumps({"schema": violation, "kind": "gap", "vertex": v.vertex,
+                          "colors": list(v.colors)}))
+    for c in report.unused_colors:
+        print(json.dumps({"schema": violation, "kind": "palette", "color": c}))
+    print(json.dumps({"schema": "gapfree.verify/1", "valid": report.valid, "t": report.t}))
     return 0 if report.valid else 1
 
 

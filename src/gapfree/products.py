@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import product as iterproduct
 
 from .errors import BadParameter, EmptyFactor
 from .graph import Graph, _Record, data_lines
@@ -67,19 +68,23 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
     if g.n == 0 or h.n == 0:
         raise EmptyFactor("product factors must have at least one vertex")
     m = h.n
+    # every edge end is taken from rows, so each vertex is one int object
+    # however many edges it has; rows[i][p] is vertex i * m + p
+    rows = [list(range(i * m, i * m + m)) for i in range(g.n)]
     edges: list[tuple[int, int]] = []
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG_TENSOR, ProductKind.STRONG):
-        edges += [(i * m + p, j * m + p) for i, j in g.edges for p in range(m)]
+        for i, j in g.edges:
+            edges += zip(rows[i], rows[j])
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.LEXICOGRAPHIC):
-        edges += [(i * m + p, i * m + q) for i in range(g.n) for p, q in h.edges]
+        edges += [(row[p], row[q]) for row in rows for p, q in h.edges]
     if kind in (ProductKind.TENSOR, ProductKind.STRONG_TENSOR, ProductKind.STRONG):
         for i, j in g.edges:
+            a, b = rows[i], rows[j]
             for p, q in h.edges:
-                edges += ((i * m + p, j * m + q), (i * m + q, j * m + p))
+                edges += ((a[p], b[q]), (a[q], b[p]))
     if kind is ProductKind.LEXICOGRAPHIC:
-        edges += [
-            (i * m + p, j * m + q) for i, j in g.edges for p in range(m) for q in range(m)
-        ]
+        for i, j in g.edges:
+            edges += iterproduct(rows[i], rows[j])
     edges.sort()
     return ProductGraph(
         graph=Graph(g.n * m, tuple(edges)),

@@ -112,6 +112,32 @@ def test_verify_reports_violations(tmp_path, capsys):
     assert rows[-1]["valid"] is False
 
 
+@pytest.mark.parametrize("recolour, summary, want", [
+    # every edge coloured 1: properness and palette rows only
+    (lambda k: 1, (3600, 0, 7), "6481d24d20994a52"),
+    # colours 1, 3, 5 in turn: gap rows too
+    (lambda k: 1 + 2 * (k % 3), (1317, 144, 5), "c45123bf2fa89365"),
+])
+def test_violation_report_pin(tmp_path, capsys, recolour, summary, want):
+    # stdout of a verify that reports thousands of violations, recorded
+    # before verify printed each row as it made it
+    left, right = tmp_path / "p12.g", tmp_path / "c12.g"
+    col, graph, bad = tmp_path / "s.col", tmp_path / "s.g", tmp_path / "bad.col"
+    run(["gen", "--family", "P", "--n", "12", "--out", str(left)])
+    run(["gen", "--family", "C", "--n", "12", "--out", str(right)])
+    assert run(["construct", "--theorem", "t14", "--left", str(left), "--right", str(right),
+                "--out", str(col), "--product-out", str(graph)]) == 0
+    header, *rows = col.read_text().splitlines()
+    bad.write_text("\n".join([header] + [
+        f"{k} {u} {v} {recolour(int(k))}" for k, u, v, _ in map(str.split, rows)]) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(graph), str(bad)]) == 1
+    out = capsys.readouterr().out
+    kinds = [json.loads(line).get("kind") for line in out.splitlines()]
+    assert tuple(map(kinds.count, ("properness", "gap", "palette"))) == summary
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
 def test_membership_exit_codes(capsys):
     assert run(["membership", "--family", "torus", "--dims", "3,3"]) == 1
     assert "not interval colorable" in lines(capsys)[-1]
@@ -290,6 +316,11 @@ MALFORMED = [
     ("edges", "3 2\n-1 0\n0 1\n", gf.VertexOutOfRange, "edge (-1,0) outside 0..2"),
     ("edges", "3 3\n0 1\n1 1\n0 5\n", gf.LoopEdge, "loop at vertex 1"),
     ("edges", "3 3\n1 0\n0 1\n2 2\n", gf.DuplicateEdge, "edge (0, 1) listed twice"),
+    # several faults: the first in input order wins, whatever the sorted order
+    ("edges", "3 3\n0 1\n1 0\n0 5\n", gf.DuplicateEdge, "edge (0, 1) listed twice"),
+    ("edges", "3 3\n0 5\n0 1\n1 0\n", gf.VertexOutOfRange, "edge (0,5) outside 0..2"),
+    ("edges", "4 4\n1 2\n0 1\n1 2\n0 1\n", gf.DuplicateEdge, "edge (1, 2) listed twice"),
+    ("edges", "3 2\n0 2\n2 0\n", gf.DuplicateEdge, "edge (0, 2) listed twice"),
     ("coloring", "nonsense\n", gf.BadParameter, "{path}: missing t=<K> header"),
     ("coloring", "t=q\n0 0 1 1\n", gf.BadParameter, "{path}: malformed header 't=q'"),
     ("coloring", "t=-1\n0 0 1 1\n", gf.BadParameter,

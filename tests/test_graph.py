@@ -202,6 +202,23 @@ def test_edge_list_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _int_objects(g):
+    """(int objects, distinct values) over the ends of g's edges."""
+    ends = [x for e in g.edges for x in e]
+    return len({id(x) for x in ends}), len(set(ends))
+
+
+def test_read_edge_list_shares_one_int_per_vertex(tmp_path):
+    # above 256 CPython caches no ints, so every vertex's int is shared on
+    # purpose: a vertex named by many edges, or spelt two ways, is one object
+    path = tmp_path / "strong.g"
+    gf.write_edge_list(path, gf.product(gf.ProductKind.STRONG, named("P", 20), named("C", 20)).graph)
+    g = gf.read_edge_list(path)
+    assert g.n == 400 and _int_objects(g) == (400, 400)
+    path.write_text("301 3\n0 300\n1 0300\n299 +300\n")
+    assert _int_objects(gf.read_edge_list(path)) == (4, 4)
+
+
 def test_edge_list_comments_ignored(tmp_path):
     path = tmp_path / "with_comments.g"
     path.write_text("# a graph\n3 2\n0 1\n# middle comment\n1 2\n")

@@ -184,6 +184,15 @@ def test_provenance_roundtrip(tmp_path):
         assert prod.edge_origin[k] is origin
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_shares_one_int_per_vertex(kind):
+    # every edge end comes from one int object per product vertex (400 here,
+    # beyond CPython's small-int cache)
+    g = gf.product(kind, named("P", 20), named("C", 20)).graph
+    ends = [x for e in g.edges for x in e]
+    assert len({id(x) for x in ends}) == len(set(ends)) == 400
+
+
 def test_determinism():
     a = gf.product(ProductKind.STRONG, named("P", 4), named("C", 4))
     b = gf.product(ProductKind.STRONG, named("P", 4), named("C", 4))
