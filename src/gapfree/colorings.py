@@ -9,10 +9,10 @@ constructors and the exhaustive search must satisfy.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 
 from .errors import BadParameter
-from .graph import Graph, _Record, data_lines
+from .graph import Graph, _Record, _require_canonical, data_rows
 
 
 class EdgeColoring(_Record):
@@ -79,26 +79,39 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
     if t < 0:
         raise ValueError(f"declared color count must be >= 0, got {t}")
 
+    edges = g.edges
+    # a hand-built Graph with unsorted or repeated pairs is refused, as
+    # incident refuses it
+    _require_canonical(edges)
     colors = coloring.colors
+    # each vertex's colours, in one pass and without an edge-id table; ids
+    # are looked up again only for the vertices that fail
+    seen: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), c in zip(edges, colors):
+        seen[u].append(c)
+        seen[v].append(c)
+    # distinct colors spanning exactly the degree: proper and gap-free here;
+    # colors read from files may be huge, so nothing is indexed by color
+    failing = {v: [] for v, s in enumerate(seen)
+               if s and not (max(s) - min(s) + 1 == len(s) == len(set(s)))}
+    del seen
+    if failing:
+        for k, (u, v) in enumerate(edges):
+            if u in failing:
+                failing[u].append(k)
+            if v in failing:
+                failing[v].append(k)
     properness: list[PropernessViolation] = []
     gaps: list[GapViolation] = []
-    for v, edges in enumerate(g.incident):
-        if not edges:
-            continue
-        # distinct colors spanning exactly the degree: proper and gap-free here;
-        # colors read from files may be huge, so nothing is indexed by color
-        seen = [colors[e] for e in edges]
-        lo, hi = min(seen), max(seen)
-        if hi - lo + 1 == len(seen) == len(set(seen)):
-            continue
+    for v, ids in failing.items():
         by_color: dict[int, list[int]] = {}
-        for e in edges:
+        for e in ids:
             by_color.setdefault(colors[e], []).append(e)
         for color, es in sorted(by_color.items()):
             if len(es) > 1:
                 for a, b in combinations(es, 2):
                     properness.append(PropernessViolation(v, a, b, color))
-        if hi - lo + 1 != len(by_color):
+        if max(by_color) - min(by_color) + 1 != len(by_color):
             gaps.append(GapViolation(v, tuple(sorted(by_color))))
 
     used = coloring.palette
@@ -127,26 +140,32 @@ def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
 def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
     """Read a coloring file and validate it against a graph's edge ids.
 
-    Every row is parsed before the graph is consulted, so a malformed file
-    gets the same message whatever the graph: the row count, the declared t
-    and the endpoints are checked after the parse, in that order.
+    The file is read twice, row by row, and no row is kept: the first pass
+    reads it whole, so a non-ASCII byte anywhere wins, and counts its rows,
+    which gives the id range; the second parses them. Every row is parsed
+    before the graph is consulted, so a malformed file gets the same message
+    whatever the graph: the row count, the declared t and the endpoints are
+    checked after the parse, in that order.
     """
-    rows = data_lines(path)
-    if not rows or not rows[0].startswith("t="):
+    rows = data_rows(path)
+    header = next(rows, None)
+    m = sum(1 for _ in rows)
+    if header is None or not header.startswith("t="):
         raise BadParameter(f"{path}: missing t=<K> header")
     try:
-        t = int(rows[0][2:])
+        t = int(header[2:])
     except ValueError:
-        raise BadParameter(f"{path}: malformed header {rows[0]!r}") from None
+        raise BadParameter(f"{path}: malformed header {header!r}") from None
     if t < 0:
         raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
-    m = len(rows) - 1
     edges = g.edges
     n_edges = len(edges)
     colors = [0] * m  # 0 marks an id no row has given yet
     odd: list[tuple[int, int, int]] = []  # rows whose endpoints are not edge k's
+    rows = data_rows(path)
+    next(rows, None)  # the header, read above
     try:
-        for row in islice(rows, 1, None):
+        for row in rows:
             k, u, v, c = row.split()  # a wrong token count fails the unpack
             k, u, v, c = int(k), int(u), int(v), int(c)
             if not 0 <= k < m:
@@ -160,7 +179,10 @@ def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
                 odd.append((k, u, v))
     except ValueError:
         raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
-    # m lines with m distinct in-range ids: every slot is filled here
+    # m rows with m distinct in-range ids fill every slot, unless the file
+    # changed between the two passes
+    if not all(colors):
+        raise BadParameter(f"{path}: changed while it was read")
     if m != n_edges:
         raise BadParameter(f"{path}: {m} colored edges for a graph with {n_edges}")
     if t > n_edges:  # m edges carry at most m colors, and the palette check is O(t)

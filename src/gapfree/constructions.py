@@ -141,10 +141,12 @@ def _compose(
     """Build the product, color every edge by rule, and refuse to return the
     coloring unless it is an interval expected_t-coloring."""
     prod = product(kind, g, h)
-    coords = prod.coords
+    # a local table, gone before the verify: prod.coords would stay cached
+    coords = [divmod(v, prod.right_n) for v in range(prod.graph.n)]
     coloring = EdgeColoring(
         tuple(rule(*coords[a], *coords[b]) for a, b in prod.graph.edges)
     )
+    del coords
     report = verify_interval(prod.graph, coloring, expected_t)
     if not report.valid:
         raise ConstructionFailed(

@@ -11,11 +11,11 @@ tables that it and the orbit bound read, are cached likewise.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import islice
-from operator import eq
+from itertools import chain, islice, starmap
+from operator import eq, lt
 
 from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 
@@ -82,8 +82,8 @@ class _Record:
 
 class Graph(_Record):
     """Simple undirected graph whose edges are sorted canonical pairs, which
-    incident and the searches rely on (incident rejects any other order);
-    build_graph() makes one from any list."""
+    incident, the verifier and the searches rely on (incident and the
+    verifier reject any other order); build_graph() makes one from any list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -104,22 +104,18 @@ class Graph(_Record):
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids incident to each vertex, parallel to adjacency: the edges are
         sorted canonical pairs, so each vertex's ids come in neighbour order.
+        Read by the breadth-first walk, the matching peel and the constructions'
+        spectrum bounds on a factor; the verifier, which runs on whole
+        products, builds its per-vertex colours without it.
 
-        Raises ValueError if they are not: the readers that rely on the order
-        go through here, so this loop checks it once per graph.
+        Raises ValueError, as _require_canonical does, if the edges are not
+        sorted canonical pairs.
         """
+        _require_canonical(self.edges)
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        prev = (0, 0)
-        for k, e in enumerate(self.edges):
-            u, v = e
-            if not (prev < e and u < v):
-                raise ValueError(
-                    f"edge {k} {e}: Graph needs strictly increasing (u, v) "
-                    "pairs with u < v; build_graph() makes them"
-                )
+        for k, (u, v) in enumerate(self.edges):
             inc[u].append(k)
             inc[v].append(k)
-            prev = e
         for v, ids in enumerate(inc):  # in place: no list outlives its tuple
             inc[v] = tuple(ids)
         return tuple(inc)
@@ -181,6 +177,24 @@ class Graph(_Record):
         degs = self.degrees
         r = degs[0] if degs else 0
         return r if degs.count(r) == len(degs) else None
+
+
+def _require_canonical(edges: Sequence[tuple[int, int]]) -> None:
+    """Raise ValueError, naming the first edge out of place, unless the edges
+    are strictly increasing (u, v) pairs with 0 <= u < v, the order in which
+    each vertex's edge ids, taken in id order, come in neighbour order. The
+    check runs at C speed; only a fault is looked for edge by edge."""
+    if all(starmap(lt, edges)) and all(map(lt, chain(((0, 0),), edges), edges)):
+        return
+    prev = (0, 0)
+    for k, e in enumerate(edges):
+        u, v = e
+        if not (prev < e and u < v):
+            raise ValueError(
+                f"edge {k} {e}: Graph needs strictly increasing (u, v) "
+                "pairs with u < v; build_graph() makes them"
+            )
+        prev = e
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -390,12 +404,16 @@ def write_edge_list(path, g: Graph) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def data_lines(path) -> list[str]:
-    """The stripped lines of an ASCII text file, without blank and '#' comment
-    lines; a byte outside ASCII raises BadParameter like any malformed line."""
+def data_rows(path) -> Iterator[str]:
+    """The stripped lines of an ASCII text file, one at a time, without blank
+    and '#' comment lines; a byte outside ASCII raises BadParameter when the
+    read reaches it. A reader raises its own faults only once it has read
+    every row, so that such a byte wins wherever it is in the file."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return [s for s in map(str.strip, fh) if s and s[0] != "#"]
+            for s in map(str.strip, fh):
+                if s and s[0] != "#":
+                    yield s
     except UnicodeDecodeError as exc:
         raise BadParameter(
             f"{path}: non-ASCII byte {exc.object[exc.start]:#04x}"
@@ -403,16 +421,21 @@ def data_lines(path) -> list[str]:
 
 
 def read_edge_list(path) -> Graph:
-    """Read the text edge-list format; '#' comment lines are ignored."""
-    rows = data_lines(path)
-    if not rows:
+    """Read the text edge-list format; '#' comment lines are ignored.
+
+    Rows are parsed as they are read, and none is kept. Faults are raised
+    once the whole file is read, in this order: a non-ASCII byte, an empty
+    file, a malformed header, a wrong edge count, the first malformed row.
+    """
+    rows = data_rows(path)
+    header = next(rows, None)
+    if header is None:
         raise BadParameter(f"{path}: empty edge-list file")
     try:
-        n, m = map(int, rows[0].split())  # a wrong token count fails the unpack
+        n, m = map(int, header.split())  # a wrong token count fails the unpack
     except ValueError:
-        raise BadParameter(f"{path}: malformed header {rows[0]!r}") from None
-    if len(rows) - 1 != m:
-        raise BadParameter(f"{path}: header declares {m} edges, found {len(rows) - 1}")
+        deque(rows, 0)  # read to the end: a non-ASCII byte still wins
+        raise BadParameter(f"{path}: malformed header {header!r}") from None
     edges: list[tuple[int, int]] = []
     append = edges.append
     # one int object per vertex, however many edges name it: a token maps to
@@ -420,8 +443,9 @@ def read_edge_list(path) -> Graph:
     # under another spelling ('07', '7') maps to that value's int
     vertex: dict = {}
     get = vertex.get
-    try:
-        for row in islice(rows, 1, None):
+    bad = None
+    for row in rows:
+        try:
             a, b = row.split()  # a wrong token count fails the unpack
             u = get(a)
             if u is None:
@@ -431,8 +455,15 @@ def read_edge_list(path) -> Graph:
             if v is None:
                 v = int(b)
                 v = vertex[b] = vertex.setdefault(v, v)
-            append((u, v))
-    except ValueError:
-        raise BadParameter(f"{path}: malformed edge line {row!r}") from None
-    del rows, vertex  # not held while the graph is built
+        except ValueError:
+            bad = row
+            break
+        append((u, v))
+    # the rows after a malformed one are only counted
+    found = len(edges) + (bad is not None) + sum(1 for _ in rows)
+    if found != m:
+        raise BadParameter(f"{path}: header declares {m} edges, found {found}")
+    if bad is not None:
+        raise BadParameter(f"{path}: malformed edge line {bad!r}")
+    del vertex  # not held while the graph is built
     return build_graph(n, edges)

@@ -11,12 +11,14 @@ edge carries an origin tag derived from its endpoints' coordinates:
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
 from itertools import product as iterproduct
 
 from .errors import BadParameter, EmptyFactor
-from .graph import Graph, _Record, data_lines
+from .graph import Graph, _Record, data_rows
 
 
 class ProductKind(Enum):
@@ -47,14 +49,19 @@ class ProductGraph(_Record):
 
     @cached_property
     def edge_origin(self) -> tuple[EdgeOrigin, ...]:
-        # u = i*m + p and v = j*m + q: i == j iff u // m == v // m, and
-        # p == q iff u and v agree mod m
-        m = self.right_n
-        g_layer, h_layer, cross = EdgeOrigin.G_LAYER, EdgeOrigin.H_LAYER, EdgeOrigin.CROSS
-        return tuple(
-            h_layer if u // m == v // m else g_layer if (v - u) % m == 0 else cross
-            for u, v in self.graph.edges
-        )
+        return tuple(_origins(self))
+
+
+def _origins(prod: ProductGraph) -> Iterator[EdgeOrigin]:
+    """Each edge's origin tag, in edge-id order, one at a time."""
+    # u = i*m + p and v = j*m + q: i == j iff u // m == v // m, and
+    # p == q iff u and v agree mod m
+    m = prod.right_n
+    g_layer, h_layer, cross = EdgeOrigin.G_LAYER, EdgeOrigin.H_LAYER, EdgeOrigin.CROSS
+    return (
+        h_layer if u // m == v // m else g_layer if (v - u) % m == 0 else cross
+        for u, v in prod.graph.edges
+    )
 
 
 def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
@@ -95,20 +102,27 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
 
 
 def write_provenance(path, prod: ProductGraph) -> None:
-    """Sidecar file: one "edge_id origin i p j q" line per edge."""
+    """Sidecar file: one "edge_id origin i p j q" line per edge.
+
+    The origin tags are made as the lines are written, not cached on prod."""
     # "i p" for vertex i * right_n + p, formatted once per vertex, not per edge
     pairs = [f"{i} {p}" for i in range(prod.left_n) for p in range(prod.right_n)]
     with open(path, "w", encoding="ascii") as fh:
-        for k, ((u, v), origin) in enumerate(zip(prod.graph.edges, prod.edge_origin)):
+        for k, ((u, v), origin) in enumerate(zip(prod.graph.edges, _origins(prod))):
             fh.write(f"{k} {origin._value_} {pairs[u]} {pairs[v]}\n")
 
 
 def read_provenance(path) -> list[tuple[int, EdgeOrigin, int, int, int, int]]:
-    rows = []
-    for line in data_lines(path):
+    """Read a provenance sidecar row by row. A malformed row is raised once
+    the whole file is read, so that a non-ASCII byte anywhere wins."""
+    rows = data_rows(path)
+    parsed = []
+    append = parsed.append
+    for line in rows:
         try:
             k, origin, i, p, j, q = line.split()
-            rows.append((int(k), EdgeOrigin(origin), int(i), int(p), int(j), int(q)))
+            append((int(k), EdgeOrigin(origin), int(i), int(p), int(j), int(q)))
         except ValueError:
+            deque(rows, 0)  # read to the end: a non-ASCII byte still wins
             raise BadParameter(f"{path}: malformed provenance line {line!r}") from None
-    return rows
+    return parsed

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,116 @@ def test_malformed_input_messages(tmp_path, reader, text, exc, message):
         READERS[reader](path)
     assert type(info.value) is exc
     assert str(info.value) == message.format(path=path)
+
+
+# the same fault order on files longer than one 8 KB text-read chunk, so that
+# a reader that stops at its first fault would stop early; recorded before the
+# readers streamed their rows. Each file is a path P20001 and its rows.
+ROWS = 20_000
+
+
+def _big(reader: str, *, head: str | None = None, at: dict | None = None,
+         tail: bytes = b"", every: int = 0) -> bytes:
+    """A file of the reader's kind for P_{ROWS+1}: `head` replaces the header,
+    row k is replaced by at[k], and with `every` a comment and a blank line
+    come after each `every` rows; `tail` is appended as raw bytes."""
+    rows = {
+        "edges": [f"{k} {k + 1}" for k in range(ROWS)],
+        "coloring": [f"{k} {k} {k + 1} {1 + k % 2}" for k in range(ROWS)],
+        "prov": [f"{k} H_layer 0 {k} 0 {k + 1}" for k in range(ROWS)],
+    }[reader]
+    for k, row in (at or {}).items():
+        rows[k] = row
+    if every:
+        rows = [f"{row}\n# after row {k}\n" if (k + 1) % every == 0 else row
+                for k, row in enumerate(rows)]
+    default = {"edges": f"{ROWS + 1} {ROWS}", "coloring": "t=2", "prov": None}[reader]
+    text = "\n".join(([head] if head is not None else [] if default is None else [default])
+                     + rows) + "\n"
+    return text.encode("ascii") + tail
+
+
+LARGE_READERS = {
+    "edges": gf.read_edge_list,
+    "coloring": lambda path: gf.load_coloring(
+        path, gf.build_graph(ROWS + 1, [(k, k + 1) for k in range(ROWS)])),
+    "prov": gf.read_provenance,
+}
+
+NON_ASCII = "{path}: non-ASCII byte 0xe9"
+
+LARGE_FAULTS = [
+    # a non-ASCII byte anywhere beats every other fault
+    ("edges", dict(head="x y", tail=b"0 1 \xe9\n"), NON_ASCII),
+    ("edges", dict(head=f"{ROWS + 1} {ROWS}", at={0: "0 z"}, tail=b"# caf\xe9\n"), NON_ASCII),
+    ("edges", dict(head=f"{ROWS + 1} 5", tail=b"# caf\xe9\n"), NON_ASCII),
+    ("edges", dict(at={3: "3 3 3"}, head=f"{ROWS + 1} 7", tail=b"\xe9"), NON_ASCII),
+    ("coloring", dict(head="t=q", tail=b"# caf\xe9\n"), NON_ASCII),
+    ("coloring", dict(at={0: "0 0 1"}, tail=b"0 0 1 1 \xe9\n"), NON_ASCII),
+    ("coloring", dict(at={0: "5 0 1 1"}, tail=b"# caf\xe9\n"), NON_ASCII),
+    ("prov", dict(at={0: "0 cross x 0 1 1"}, tail=b"# caf\xe9\n"), NON_ASCII),
+    # then a wrong edge count beats a malformed row, wherever that row is
+    ("edges", dict(head=f"{ROWS + 1} {ROWS + 2}", at={0: "0 z"}),
+     f"{{path}}: header declares {ROWS + 2} edges, found {ROWS}"),
+    ("edges", dict(head=f"{ROWS + 1} 5", at={ROWS - 1: "0"}),
+     f"{{path}}: header declares 5 edges, found {ROWS}"),
+    # and of two malformed rows, both past the first chunk, the first is named
+    ("edges", dict(at={15_000: "7 x", 19_000: "y 8"}), "{path}: malformed edge line '7 x'"),
+    ("coloring", dict(at={15_000: "7 7 8 x", 19_000: "y 8 9 1"}),
+     "{path}: malformed coloring line '7 7 8 x'"),
+    ("prov", dict(at={15_000: "7 diagonal 0 7 0 8", 19_000: "y"}),
+     "{path}: malformed provenance line '7 diagonal 0 7 0 8'"),
+    # comment and blank lines are not rows: the id range is 0..ROWS
+    ("coloring", dict(every=1000, tail=f"{ROWS + 1} 0 1 1\n".encode()),
+     f"{{path}}: edge id {ROWS + 1} outside 0..{ROWS}"),
+    ("coloring", dict(every=1000, at={ROWS - 1: f"{ROWS} 0 1 1"}),
+     f"{{path}}: edge id {ROWS} outside 0..{ROWS - 1}"),
+]
+
+
+@pytest.mark.parametrize("reader, layout, message", LARGE_FAULTS)
+def test_fault_order_in_large_files(tmp_path, reader, layout, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(_big(reader, **layout))
+    with pytest.raises(gf.BadParameter) as info:
+        LARGE_READERS[reader](path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_large_files_with_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(_big("edges", every=1000))
+    g = gf.read_edge_list(path)
+    assert (g.n, g.m) == (ROWS + 1, ROWS)
+    path.write_bytes(_big("coloring", every=1000))
+    t, coloring = gf.load_coloring(path, g)
+    assert t == 2 and coloring.colors == tuple(1 + k % 2 for k in range(ROWS))
+    path.write_bytes(_big("prov", every=1000))
+    rows = gf.read_provenance(path)
+    assert len(rows) == ROWS and rows[-1] == (ROWS - 1, gf.EdgeOrigin.H_LAYER, 0, ROWS - 1, 0, ROWS)
+
+
+def test_readers_hold_no_row_strings(tmp_path):
+    # a reader that parses rows as it reads them never holds them all: what
+    # it allocates above what it returns stays below the rows' own size. The
+    # file is a product of the shape the constructions emit (P40 strong C130,
+    # 20,410 rows); the edge reader's per-vertex token map is transient too
+    prod = gf.product(gf.ProductKind.STRONG, gf.generate("P", 40), gf.generate("C", 130))
+    g = prod.graph
+    graph_file, coloring_file = tmp_path / "s.g", tmp_path / "s.col"
+    gf.write_edge_list(graph_file, g)
+    gf.write_coloring(coloring_file, g, gf.EdgeColoring(tuple(1 + k % 3 for k in range(g.m))))
+    for path, read in ((graph_file, gf.read_edge_list),
+                       (coloring_file, lambda path: gf.load_coloring(path, g))):
+        with open(path) as fh:
+            rows = sum(sys.getsizeof(s) for s in map(str.strip, fh) if s and s[0] != "#")
+        tracemalloc.start()
+        try:
+            result = read(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is not None and peak - held < rows, path.name
 
 
 def test_declared_t_above_edge_count_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gapfree as gf
+import gapfree.colorings
 from gapfree.errors import BadParameter
 
 from helpers import P4_ALPHA_3, SEED, named
@@ -203,3 +204,35 @@ def test_corrupted_product_report_pin():
         len(report.unused_colors),
     ) == (3, 6, 5)
     assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == "d248b38e57bbcfe6"
+
+
+def test_verify_builds_no_incidence_table():
+    # the verifier reads each vertex's colours in a pass of its own; the
+    # product's cached incidence table would outlive the check
+    prod, coloring = gf.strong_interval(named("P", 4), gf.EdgeColoring(P4_ALPHA_3), named("C", 4))
+    g = prod.graph
+    assert gf.verify_interval(g, coloring, coloring.t).valid
+    colors = list(coloring.colors)
+    colors[0] = colors[1]
+    assert not gf.verify_interval(g, gf.EdgeColoring(tuple(colors)), coloring.t).valid
+    assert "incident" not in g.__dict__
+
+
+def test_coloring_file_changed_between_passes(tmp_path, monkeypatch):
+    # load_coloring reads the file twice: rows gone by the second read are an
+    # input error, not a colour slot left unfilled
+    path = tmp_path / "c.col"
+    path.write_text("t=1\n0 0 1 1\n")
+    reads = []
+    data_rows = gapfree.colorings.data_rows
+
+    def shrinking(p):
+        reads.append(p)
+        if len(reads) == 2:
+            p.write_text("t=1\n")
+        return data_rows(p)
+
+    monkeypatch.setattr(gapfree.colorings, "data_rows", shrinking)
+    with pytest.raises(BadParameter, match=r"c\.col: changed while it was read$"):
+        gf.load_coloring(path, gf.build_graph(2, [(0, 1)]))
+    assert len(reads) == 2

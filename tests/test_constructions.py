@@ -38,6 +38,21 @@ def test_matrix_soundness():
         assert report.valid, entry["label"]
 
 
+def test_constructors_cache_no_table_on_the_product():
+    # each constructor colours by a local coordinate table and self-verifies
+    # without the incidence table, so neither stays cached on what it returns
+    theorems = set()
+    for entry in collect_matrix():
+        if entry["theorem"] in theorems:
+            continue
+        theorems.add(entry["theorem"])
+        prod, _ = entry["build"]()
+        assert "coords" not in prod.__dict__, entry["label"]
+        assert "edge_origin" not in prod.__dict__, entry["label"]
+        assert "incident" not in prod.graph.__dict__, entry["label"]
+    assert theorems == {"t2", "t12", "t13", "t14", "t16w", "t16W", "t17"}
+
+
 def test_stride_containment():
     """Tensor-style colors at a vertex stay inside its left spectrum's block range."""
     for entry in collect_matrix():

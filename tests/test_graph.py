@@ -62,6 +62,10 @@ def test_hand_built_graph_needs_canonical_edge_order():
         gf.Graph(3, ((0, 1), (2, 1))).incident  # a swapped pair
     with pytest.raises(ValueError):
         gf.Graph(3, ((0, 1), (0, 1))).incident  # a repeated pair
+    # the verifier, which reads no incidence table, checks the order itself
+    for edges in (((0, 1), (2, 1)), ((0, 1), (0, 1))):
+        with pytest.raises(ValueError, match=r"^edge 1 \(\d, 1\): Graph needs strictly"):
+            gf.verify_interval(gf.Graph(3, edges), gf.EdgeColoring((1, 2)), 2)
     fixed = gf.build_graph(4, unsorted.edges)
     coloring = gf.bipartite_regular_coloring(fixed)
     assert gf.verify_interval(fixed, coloring, 2).valid

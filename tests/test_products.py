@@ -184,6 +184,14 @@ def test_provenance_roundtrip(tmp_path):
         assert prod.edge_origin[k] is origin
 
 
+def test_write_provenance_caches_no_tags(tmp_path):
+    # the origin tags are made as the lines are written, not kept on prod
+    prod = gf.product(ProductKind.STRONG, named("P", 3), named("C", 4))
+    gf.write_provenance(tmp_path / "prod.prov", prod)
+    assert "edge_origin" not in prod.__dict__ and "coords" not in prod.__dict__
+    assert [row[1] for row in gf.read_provenance(tmp_path / "prod.prov")] == list(prod.edge_origin)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_product_shares_one_int_per_vertex(kind):
     # every edge end comes from one int object per product vertex (400 here,
