@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import BadParameter
-from .graph import Graph, _Record, _require_canonical, data_rows
+from .graph import Graph, _Record, data_rows
 
 
 class EdgeColoring(_Record):
@@ -80,9 +80,6 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
         raise ValueError(f"declared color count must be >= 0, got {t}")
 
     edges = g.edges
-    # a hand-built Graph with unsorted or repeated pairs is refused, as
-    # incident refuses it
-    _require_canonical(edges)
     colors = coloring.colors
     # each vertex's colours, in one pass and without an edge-id table; ids
     # are looked up again only for the vertices that fail

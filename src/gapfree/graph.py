@@ -2,11 +2,12 @@
 
 Vertices are the integers 0..n-1. Edges are stored canonically: each pair with
 the smaller endpoint first, the whole list sorted, so an edge's position in the
-list is a stable id. Colorings elsewhere in the package are plain arrays
-indexed by these edge ids. One breadth-first walk, made once per graph, gives
-the searches their edge order, is_bipartite its two sides and the search-free
-rules their list of components; the lex-leader cut's generators, and the
-tables that it and the orbit bound read, are cached likewise.
+list is a stable id. Graph(n, edges) refuses any other edge list. Colorings
+elsewhere in the package are plain arrays indexed by these edge ids. One
+breadth-first walk, made once per graph, gives the searches their edge order,
+is_bipartite its two sides and the search-free rules their list of
+components; the lex-leader cut's generators, and the tables that it and the
+orbit bound read, are cached likewise.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain, islice, starmap
-from operator import eq, lt
+from itertools import chain, starmap
+from operator import itemgetter, lt
 
 from .errors import BadParameter, DuplicateEdge, LoopEdge, VertexOutOfRange
 
@@ -82,11 +83,14 @@ class _Record:
 
 class Graph(_Record):
     """Simple undirected graph whose edges are sorted canonical pairs, which
-    incident, the verifier and the searches rely on (incident and the
-    verifier reject any other order); build_graph() makes one from any list."""
+    adjacency, incident, the verifier and the searches rely on. Graph(n, edges)
+    refuses any other edge list; build_graph() makes one from any list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _require_canonical(self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -95,10 +99,12 @@ class Graph(_Record):
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        # ascending without a sort: the lesser neighbours come from the pairs
+        # (u, z), in u's order, before the greater ones from (z, v)
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
@@ -107,11 +113,7 @@ class Graph(_Record):
         Read by the breadth-first walk, the matching peel and the constructions'
         spectrum bounds on a factor; the verifier, which runs on whole
         products, builds its per-vertex colours without it.
-
-        Raises ValueError, as _require_canonical does, if the edges are not
-        sorted canonical pairs.
         """
-        _require_canonical(self.edges)
         inc: list[list[int]] = [[] for _ in range(self.n)]
         for k, (u, v) in enumerate(self.edges):
             inc[u].append(k)
@@ -179,20 +181,21 @@ class Graph(_Record):
         return r if degs.count(r) == len(degs) else None
 
 
-def _require_canonical(edges: Sequence[tuple[int, int]]) -> None:
+def _require_canonical(n: int, edges: Sequence[tuple[int, int]]) -> None:
     """Raise ValueError, naming the first edge out of place, unless the edges
-    are strictly increasing (u, v) pairs with 0 <= u < v, the order in which
-    each vertex's edge ids, taken in id order, come in neighbour order. The
-    check runs at C speed; only a fault is looked for edge by edge."""
-    if all(starmap(lt, edges)) and all(map(lt, chain(((0, 0),), edges), edges)):
+    are strictly increasing (u, v) pairs with 0 <= u < v < n, the order in
+    which each vertex's edge ids, taken in id order, come in neighbour order.
+    The check runs at C speed; only a fault is looked for edge by edge."""
+    if (all(starmap(lt, edges)) and all(map(lt, chain(((0, 0),), edges), edges))
+            and max(map(itemgetter(1), edges), default=-1) < n):
         return
     prev = (0, 0)
     for k, e in enumerate(edges):
         u, v = e
-        if not (prev < e and u < v):
+        if not (prev < e and u < v < n):
             raise ValueError(
                 f"edge {k} {e}: Graph needs strictly increasing (u, v) "
-                "pairs with u < v; build_graph() makes them"
+                f"pairs with 0 <= u < v < {n}; build_graph() makes them"
             )
         prev = e
 
@@ -203,35 +206,30 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Raises LoopEdge, DuplicateEdge, or VertexOutOfRange on bad input: the
     first fault in input order, as _first_fault finds it.
 
-    No set of the edges is kept: a duplicate is an equal neighbour once the
-    canonical pairs are sorted. Any fault, or any exception the pairs raise,
-    sends the input to _first_fault, which scans it again in input order, so
-    a duplicate listed before a loop is still the one reported.
+    No set of the edges is kept: once the canonical pairs are sorted, Graph's
+    own check refuses a loop, a duplicate (an equal neighbour) or an end out
+    of range. Any such fault, or any exception the pairs raise, sends the
+    input to _first_fault, which scans it again in input order, so a
+    duplicate listed before a loop is still the one reported.
     """
     if n < 0:
         raise BadParameter(f"vertex count must be >= 0, got {n}")
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)  # the error path reads it a second time
     # canon keeps the input order, which sort() finishes in linear time on
-    # the canonical files gapfree writes; equal neighbours in the sorted list
-    # are the duplicates, found without a 2 MB set of 40k edges
+    # the canonical files gapfree writes
     canon: list[tuple[int, int]] = []
     append = canon.append
     try:
         for e in edges:
             u, v = e
             if u > v:
-                u, v = v, u
-                e = (u, v)
+                e = (v, u)
             elif type(e) is not tuple:  # a canonical tuple is kept, not copied
                 e = (u, v)
-            if not 0 <= u < v < n:  # out of range, or a loop
-                break
             append(e)
-        else:
-            canon.sort()
-            if not any(map(eq, canon, islice(canon, 1, None))):
-                return Graph(n, tuple(canon))
+        canon.sort()
+        return Graph(n, tuple(canon))
     except Exception:
         pass  # _first_fault raises it again, unless an earlier fault wins
     return _first_fault(n, edges)

@@ -66,6 +66,8 @@ def find_interval_coloring(
 
     Raises BudgetExceeded when the search gives up, so None is always a proof.
     """
+    if not g.m:  # the empty coloring is its one interval coloring, with t = 0
+        return EdgeColoring(()) if t == 0 else None
     _, floor, ceiling = _rule_out(g)
     if not floor <= t <= ceiling:
         return None

@@ -68,7 +68,7 @@ def product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
     """Build the product of two nonempty graphs; deterministic for equal inputs.
 
     Every edge is emitted once, lower endpoint first (i < j or p < q), so the
-    sorted list is already canonical and needs no re-validation.
+    sorted list is already canonical.
     """
     if not isinstance(kind, ProductKind):
         raise BadParameter(f"kind must be a ProductKind, got {kind!r}")

@@ -324,19 +324,9 @@ def _lex_leader_plan(g: Graph) -> tuple | None:
     return stop, checks, ties, orbit
 
 
-_near_tables: dict[int, list[int]] = {}
-
-
 def _near(d: int, k: int) -> list[int]:
-    """Entry c, for c in 1..k at least: the colors within d - 1 of c, but not
-    c, as a mask (color 1 is bit 0); entry 0 is unused. A vertex of degree
-    d >= 1 that holds c may take only these colors next. The entries are
-    independent of k, since they are ANDed into masks within 1..k, so each
-    degree keeps one table for the life of the process, rebuilt when a
-    larger k asks for it: building the tables per call added about 40% to
-    the set-up of a probe on a small graph."""
-    table = _near_tables.get(d)
-    if table is None or len(table) <= k:
-        mask = (1 << 2 * d - 1) - 1 ^ 1 << d - 1  # bits 0..2d-2 but the middle
-        table = _near_tables[d] = [0] + [(mask << c) >> d for c in range(1, k + 1)]
-    return table
+    """Entry c, for c in 1..k: the colors within d - 1 of c, but not c, as a
+    mask (color 1 is bit 0); entry 0 is unused. A vertex of degree d >= 1
+    that holds c may take only these colors next."""
+    mask = (1 << 2 * d - 1) - 1 ^ 1 << d - 1  # bits 0..2d-2 but the middle
+    return [0] + [(mask << c) >> d for c in range(1, k + 1)]

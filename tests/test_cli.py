@@ -722,6 +722,11 @@ TRANSCRIPT = [
      {}),
     ('oracle e3.g --json', 1, 'fe117455802f4a47', '',
      {}),
+    # the empty coloring is an interval 0-coloring of an edgeless graph
+    ('oracle e3.g --t 0 --out e3.col', 0, 'ceb1ba8844c076db', '',
+     {'e3.col': 'e96a98664492c75e'}),
+    ('verify e3.g e3.col', 0, '6e4ad05ea9876eb6', '',
+     {}),
     ('oracle k13e.g --t 3 --out a3.col', 0, 'e9b546c0838df6b8', '',
      {'a3.col': 'dcbe07f015b3bc7b'}),
     ('oracle k13e.g --t 3 --json', 0, 'dfd8387adb68bbc9', '',

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -54,21 +55,47 @@ def test_vertex_out_of_range():
 
 def test_hand_built_graph_needs_canonical_edge_order():
     # unsorted edges would pair adjacency with the wrong edge ids: the matching
-    # peel once returned the invalid (2, 1, 1, 2) for this C4
-    unsorted = gf.Graph(4, ((2, 3), (0, 1), (1, 2), (0, 3)))
-    with pytest.raises(ValueError):
-        gf.bipartite_regular_coloring(unsorted)
-    with pytest.raises(ValueError):
-        gf.Graph(3, ((0, 1), (2, 1))).incident  # a swapped pair
-    with pytest.raises(ValueError):
-        gf.Graph(3, ((0, 1), (0, 1))).incident  # a repeated pair
-    # the verifier, which reads no incidence table, checks the order itself
-    for edges in (((0, 1), (2, 1)), ((0, 1), (0, 1))):
+    # peel once returned the invalid (2, 1, 1, 2) for this C4. Graph itself
+    # refuses such a list, so no reader has to check it again
+    unsorted = ((2, 3), (0, 1), (1, 2), (0, 3))
+    swapped, repeated = ((0, 1), (2, 1)), ((0, 1), (0, 1))
+    for n, edges in ((4, unsorted), (3, swapped), (3, repeated)):
         with pytest.raises(ValueError, match=r"^edge 1 \(\d, 1\): Graph needs strictly"):
-            gf.verify_interval(gf.Graph(3, edges), gf.EdgeColoring((1, 2)), 2)
-    fixed = gf.build_graph(4, unsorted.edges)
+            gf.Graph(n, edges)
+    fixed = gf.build_graph(4, unsorted)
     coloring = gf.bipartite_regular_coloring(fixed)
     assert gf.verify_interval(fixed, coloring, 2).valid
+
+
+def test_graph_refuses_a_non_canonical_edge_list():
+    # each fault is refused where the Graph is made, naming the first edge
+    # out of place; an end >= n once reached degrees as an IndexError
+    bad = [
+        (3, ((1, 0),), "edge 0 (1, 0)"),  # a swapped pair
+        (3, ((0, 1), (0, 1)), "edge 1 (0, 1)"),  # a repeated pair
+        (3, ((0, 2), (0, 1)), "edge 1 (0, 1)"),  # an unsorted list
+        (3, ((0, 1), (1, 1)), "edge 1 (1, 1)"),  # a loop
+        (2, ((0, 5),), "edge 0 (0, 5)"),  # an end >= n
+        (3, ((-1, 0), (0, 1)), "edge 0 (-1, 0)"),  # a negative end
+    ]
+    for n, edges, where in bad:
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)}: Graph needs strictly"):
+            gf.Graph(n, edges)
+
+
+def test_adjacency_is_ascending_without_a_sort():
+    # edges sorted as canonical pairs list each vertex's lesser neighbours,
+    # ascending, before its greater ones, so adjacency needs no sort
+    def ascending(g):
+        return all(list(a) == sorted(a) for a in g.adjacency)
+
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        assert ascending(gf.build_graph(a.number_of_nodes(), list(a.edges())))
+    left, right = named("P", 3), named("kmn", 2, 3)
+    for kind in gf.ProductKind:
+        assert ascending(gf.product(kind, left, right).graph), kind
+        assert ascending(gf.product(kind, right, left).graph), kind
 
 
 def test_path_generator():

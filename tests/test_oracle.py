@@ -148,6 +148,20 @@ def test_oracle_edgeless():
     assert result.member is False and result.w is None
 
 
+def test_edgeless_graph_has_the_empty_interval_0_coloring():
+    # no edge, no color: the empty coloring is an interval 0-coloring, as the
+    # verifier says, while membership still needs some t >= 1
+    for g in (gf.Graph(0, ()), named("nk1", 3)):
+        found = gf.find_interval_coloring(g, 0, budget=0)
+        assert found == gf.EdgeColoring(())
+        assert gf.verify_interval(g, found, 0).valid
+        assert gf.find_interval_coloring(g, 1) is None
+        assert gf.oracle(g).member is False
+    # a graph with an edge has no interval 0-coloring
+    for g in (named("K", 2), named("P", 4)):
+        assert gf.find_interval_coloring(g, 0, budget=0) is None
+
+
 def test_oracle_known_brackets():
     for name_args, expected in [
         (("C", 4), (True, 2, 3)),
@@ -890,9 +904,10 @@ def test_class_2_search_settles_non_members(monkeypatch):
 
 def test_probes_outside_the_set_up_search_nothing():
     # find_interval_coloring reads oracle's set-up: every t outside its
-    # [floor, ceiling] is answered None before the first node, which at
-    # budget 0 would raise BudgetExceeded. On every atlas graph with at most
-    # 6 vertices, edgeless ones included, for t from 0 to |E| + 1
+    # [floor, ceiling] is answered before the first node, which at budget 0
+    # would raise BudgetExceeded: None, but for t = 0 on an edgeless graph,
+    # whose empty coloring is an interval 0-coloring. On every atlas graph
+    # with at most 6 vertices, edgeless ones included, for t from 0 to |E| + 1
     nx = pytest.importorskip("networkx")
     outside = 0
     for a in nx.graph_atlas_g():
@@ -904,7 +919,12 @@ def test_probes_outside_the_set_up_search_nothing():
         assert ceiling == gf.search_ceiling(g) and floor >= g.max_degree, g
         for t in range(g.m + 2):
             if not floor <= t <= ceiling:
-                assert gf.find_interval_coloring(g, t, budget=0) is None, (g, t)
+                found = gf.find_interval_coloring(g, t, budget=0)
+                if g.m == t == 0:
+                    assert found == gf.EdgeColoring(()), g
+                    assert gf.verify_interval(g, found, 0).valid, g
+                else:
+                    assert found is None, (g, t)
                 outside += 1
     assert outside == 1170
     # K6 and K8 above 2|V| - 4 (8 and 12), up to |E| (15 and 28)

@@ -132,7 +132,7 @@ def test_records_behave_like_frozen_dataclasses():
     for a in records:
         for b in records:
             assert (a == b) == (a is b)
-    assert GapViolation(2, (1, 3)) != gf.Graph(2, (1, 3))  # equal fields, other class
+    assert GapViolation(2, ((0, 1),)) != gf.Graph(2, ((0, 1),))  # equal fields, other class
 
     g, prod = records[0], records[-1]
     assert g.incident is g.incident and g.adjacency is g.adjacency
