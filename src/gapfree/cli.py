@@ -15,34 +15,78 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 
-from .chromatic import bipartite_regular_coloring, exact_chromatic_index
-from .colorings import load_coloring, to_dot, verify_interval, write_coloring
-from .constructions import (
-    _require_copies,
-    _require_regular,
-    bound_report,
-    cartesian_interval,
-    lex_empty_interval,
-    lex_regular_interval,
-    strong_interval,
-    strong_tensor_interval,
-    tensor_interval,
-    torus_hamming_membership,
-)
 from .errors import BadParameter, BudgetExceeded, GapfreeError
-from .families import generate
-from .graph import read_edge_list, write_edge_list
-from .oracle import BUDGET_EXCEEDED, find_interval_coloring, oracle
-from .products import ProductKind, product, write_provenance
-from .search import DEFAULT_BUDGET
 
+# gapfree module -> the names this module calls from it. run() binds the names
+# its subcommand calls as globals here, each one only if it is not bound yet,
+# so a process imports only the modules its subcommand runs, and a wrapper or
+# a monkeypatch set on this module beforehand is the object called; a first
+# getattr of any of them binds it too
+_SOURCES = {
+    "chromatic": ("bipartite_regular_coloring", "exact_chromatic_index"),
+    "colorings": ("load_coloring", "to_dot", "verify_interval", "write_coloring"),
+    "constructions": (
+        "_require_copies",
+        "_require_regular",
+        "bound_report",
+        "cartesian_interval",
+        "lex_empty_interval",
+        "lex_regular_interval",
+        "strong_interval",
+        "strong_tensor_interval",
+        "tensor_interval",
+        "torus_hamming_membership",
+    ),
+    "families": ("generate",),
+    "graph": ("read_edge_list", "write_edge_list"),
+    "oracle": ("BUDGET_EXCEEDED", "find_interval_coloring", "oracle"),
+    "products": ("ProductKind", "product", "write_provenance"),
+    "search": ("DEFAULT_BUDGET",),
+}
+_SOURCE = {name: module for module, names in _SOURCES.items() for name in names}
+
+# subcommand -> the names it calls; construct binds the oracle's only when it
+# searches for a factor coloring (see _get_alpha)
+_NEEDS = {
+    "gen": ("generate", "write_edge_list"),
+    "product": ("read_edge_list", "ProductKind", "product", "write_edge_list",
+                "write_provenance"),
+    "construct": ("DEFAULT_BUDGET", "read_edge_list", "load_coloring", "write_coloring",
+                  "write_edge_list", "write_provenance", *_SOURCES["constructions"]),
+    "verify": ("read_edge_list", "load_coloring", "verify_interval"),
+    "oracle": ("DEFAULT_BUDGET", "read_edge_list", "find_interval_coloring", "oracle",
+               "BUDGET_EXCEEDED", "write_coloring"),
+    "bounds": ("bound_report",),
+    "membership": ("torus_hamming_membership",),
+    "export-dot": ("read_edge_list", "load_coloring", "to_dot"),
+    "chi-prime": ("DEFAULT_BUDGET", "read_edge_list", "exact_chromatic_index", "write_coloring"),
+    "bipartite-color": ("read_edge_list", "bipartite_regular_coloring", "write_coloring"),
+}
+
+
+def _bind(names) -> None:
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(import_module(f".{_SOURCE[name]}", __package__), name)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((name,))
+    return globals()[name]
+
+
+# --kind -> the ProductKind member's name
 _KINDS = {
-    "cartesian": ProductKind.CARTESIAN,
-    "tensor": ProductKind.TENSOR,
-    "strong-tensor": ProductKind.STRONG_TENSOR,
-    "strong": ProductKind.STRONG,
-    "lex": ProductKind.LEXICOGRAPHIC,
+    "cartesian": "CARTESIAN",
+    "tensor": "TENSOR",
+    "strong-tensor": "STRONG_TENSOR",
+    "strong": "STRONG",
+    "lex": "LEXICOGRAPHIC",
 }
 
 
@@ -109,6 +153,7 @@ def _get_alpha(g, path, budget):
     if path is not None:
         _, coloring = load_coloring(path, g)
         return coloring
+    _bind(("oracle", "BUDGET_EXCEEDED"))
     result = oracle(g, budget)
     if result.w is not None:
         return result.witnesses[result.w]
@@ -148,7 +193,7 @@ def _cmd_gen(args) -> int:
 def _cmd_product(args) -> int:
     g = read_edge_list(args.left)
     h = read_edge_list(args.right)
-    prod = product(_KINDS[args.kind], g, h)
+    prod = product(ProductKind[_KINDS[args.kind]], g, h)
     write_edge_list(args.out, prod.graph)
     sidecar = args.provenance or args.out + ".prov"
     write_provenance(sidecar, prod)
@@ -159,20 +204,20 @@ def _cmd_product(args) -> int:
 # theorem -> (option naming the second operand, its check, composer(g, alpha,
 # operand, args, budget)); a right factor arrives read. The check runs before
 # any search for a factor coloring (for t14 and t17, the overfull count too).
-# Composers name their constructor at call time, so a replaced module
-# attribute is the one called.
+# Checks and composers name their functions at call time, so a replaced
+# module attribute is the one called.
 _THEOREMS = {
     "t2": ("right", None, lambda g, alpha, h, args, budget: cartesian_interval(
         g, alpha, h, _get_alpha(h, args.right_coloring, budget))),
-    "t12": ("right", _require_regular,
+    "t12": ("right", lambda h: _require_regular(h),
             lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
-    "t13": ("right", _require_regular,
+    "t13": ("right", lambda h: _require_regular(h),
             lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
     "t14": ("right", lambda h: _require_regular(h, class1=True),
             lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
-    "t16w": ("n", _require_copies,
+    "t16w": ("n", lambda n: _require_copies(n),
              lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
-    "t16W": ("n", _require_copies,
+    "t16W": ("n", lambda n: _require_copies(n),
              lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
     "t17": ("right", lambda h: _require_regular(h, class1=True),
             lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
@@ -307,27 +352,23 @@ def _cmd_bipartite_color(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gapfree", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a named graph family instance")
+def _args_gen(p) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--dims")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("product", help="build one of the five graph products")
+
+def _args_product(p) -> None:
     p.add_argument("--kind", required=True, choices=sorted(_KINDS))
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance", help="sidecar path (default: OUT.prov)")
-    p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("construct", help="compose an interval coloring of a product")
+
+def _args_construct(p) -> None:
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--left", required=True)
     p.add_argument("--left-coloring", dest="left_coloring")
@@ -337,14 +378,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--product-out", dest="product_out")
     p.add_argument("--budget", type=_non_negative)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="check a coloring file against a graph file")
+
+def _args_verify(p) -> None:
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive membership / least / greatest search")
+
+def _args_oracle(p) -> None:
     p.add_argument("graph")
     # t = 0 is a verdict (verify accepts a t=0 header); a negative t is a usage error
     p.add_argument("--t", type=lambda text: _non_negative(text, "t"),
@@ -352,47 +393,75 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=_non_negative)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bounds", help="evaluate a known bound formula")
+
+def _args_bounds(p) -> None:
     p.add_argument("--theorem", required=True)
     p.add_argument("--params", help="comma-separated key=value integers")
     p.add_argument("--family", help="family name for t3")
     p.add_argument("--dims", help="dimension list for t3")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("membership", help="torus/Hamming parity decision")
+
+def _args_membership(p) -> None:
     p.add_argument("--family", required=True, choices=["torus", "hamming"])
     p.add_argument("--dims", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_membership)
 
-    p = sub.add_parser("export-dot", help="Graphviz DOT export, optionally colored")
+
+def _args_export_dot(p) -> None:
     p.add_argument("graph")
     p.add_argument("coloring", nargs="?")
     p.add_argument("--out", help="output path, or - for stdout")
-    p.set_defaults(func=_cmd_export_dot)
 
-    p = sub.add_parser("chi-prime", help="exact chromatic index of a small graph")
+
+def _args_chi_prime(p) -> None:
     p.add_argument("graph")
     p.add_argument("--budget", type=_non_negative)
     p.add_argument("--out", help="write the witness coloring here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_chi_prime)
 
-    p = sub.add_parser(
-        "bipartite-color", help="exact coloring of a regular bipartite graph"
-    )
+
+def _args_bipartite_color(p) -> None:
     p.add_argument("graph")
     p.add_argument("--out", help="write the coloring here")
-    p.set_defaults(func=_cmd_bipartite_color)
 
+
+# subcommand -> (help, handler, the function adding its arguments)
+_COMMANDS = {
+    "gen": ("generate a named graph family instance", _cmd_gen, _args_gen),
+    "product": ("build one of the five graph products", _cmd_product, _args_product),
+    "construct": ("compose an interval coloring of a product", _cmd_construct,
+                  _args_construct),
+    "verify": ("check a coloring file against a graph file", _cmd_verify, _args_verify),
+    "oracle": ("exhaustive membership / least / greatest search", _cmd_oracle, _args_oracle),
+    "bounds": ("evaluate a known bound formula", _cmd_bounds, _args_bounds),
+    "membership": ("torus/Hamming parity decision", _cmd_membership, _args_membership),
+    "export-dot": ("Graphviz DOT export, optionally colored", _cmd_export_dot,
+                   _args_export_dot),
+    "chi-prime": ("exact chromatic index of a small graph", _cmd_chi_prime, _args_chi_prime),
+    "bipartite-color": ("exact coloring of a regular bipartite graph", _cmd_bipartite_color,
+                        _args_bipartite_color),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The gapfree argument parser; given a subcommand, the parser of that
+    subcommand alone, as argparse spends a few ms on each one it builds."""
+    parser = _Parser(prog="gapfree", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, func, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    # a known subcommand first builds only its own parser; any other argv
+    # (--help, an unknown or a missing subcommand) the whole one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
@@ -404,12 +473,16 @@ def run(argv: list[str]) -> int:
         if getattr(args, "out", None) == "":
             # before any file is read; the commands test args.out for truth
             raise BadParameter("--out needs a non-empty path")
+        _bind(_NEEDS[args.command])
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 2
     except (GapfreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # an input too large for this machine
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

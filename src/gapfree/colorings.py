@@ -8,11 +8,16 @@ constructors and the exhaustive search must satisfy.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from itertools import combinations
 
 from .errors import BadParameter
 from .graph import Graph, _Record, data_rows
+
+# the width of the verifier's per-vertex colour masks: a vertex with a colour
+# of this or more takes the exact pass
+_MASK_BITS = 1024
 
 
 class EdgeColoring(_Record):
@@ -81,17 +86,24 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
 
     edges = g.edges
     colors = coloring.colors
-    # each vertex's colours, in one pass and without an edge-id table; ids
-    # are looked up again only for the vertices that fail
-    seen: list[list[int]] = [[] for _ in range(g.n)]
+    # each vertex's colours in one pass, as one int per vertex whose bit c
+    # marks colour c. A repeat, or a colour of _MASK_BITS or more, makes it
+    # -1, whose every bit is set, so the vertex stays failed; colours read
+    # from files may be huge, so no shift passes _MASK_BITS
+    mask = [0] * g.n
     for (u, v), c in zip(edges, colors):
-        seen[u].append(c)
-        seen[v].append(c)
-    # distinct colors spanning exactly the degree: proper and gap-free here;
-    # colors read from files may be huge, so nothing is indexed by color
-    failing = {v: [] for v, s in enumerate(seen)
-               if s and not (max(s) - min(s) + 1 == len(s) == len(set(s)))}
-    del seen
+        if c < _MASK_BITS:
+            bit = 1 << c
+            s = mask[u]
+            mask[u] = -1 if s & bit else s | bit
+            s = mask[v]
+            mask[v] = -1 if s & bit else s | bit
+        else:
+            mask[u] = mask[v] = -1
+    # distinct colours in one run of set bits: proper and gap-free there; the
+    # rest go to the exact pass, which finds their edge ids again
+    failing = {x: [] for x, s in enumerate(mask) if s < 0 or (s | s - 1) + 1 & s}
+    del mask
     if failing:
         for k, (u, v) in enumerate(edges):
             if u in failing:
@@ -137,49 +149,71 @@ def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
 def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
     """Read a coloring file and validate it against a graph's edge ids.
 
-    The file is read twice, row by row, and no row is kept: the first pass
-    reads it whole, so a non-ASCII byte anywhere wins, and counts its rows,
-    which gives the id range; the second parses them. Every row is parsed
-    before the graph is consulted, so a malformed file gets the same message
-    whatever the graph: the row count, the declared t and the endpoints are
-    checked after the parse, in that order.
+    The file is read once, row by row, and no row is kept: each colour goes
+    into the slot of its edge id. Faults are raised once the whole file is
+    read, in this order: a non-ASCII byte anywhere, the header, the first
+    faulty row in file order, then, against the graph, the row count, the
+    declared t and the endpoints. A row's id must lie in 0..rows-1, so a
+    malformed file gets the same message whatever the graph; an id that the
+    rows read so far do not pass is judged once the count is known.
     """
     rows = data_rows(path)
     header = next(rows, None)
-    m = sum(1 for _ in rows)
-    if header is None or not header.startswith("t="):
-        raise BadParameter(f"{path}: missing t=<K> header")
     try:
-        t = int(header[2:])
-    except ValueError:
-        raise BadParameter(f"{path}: malformed header {header!r}") from None
-    if t < 0:
-        raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
+        if header is None or not header.startswith("t="):
+            raise BadParameter(f"{path}: missing t=<K> header")
+        try:
+            t = int(header[2:])
+        except ValueError:
+            raise BadParameter(f"{path}: malformed header {header!r}") from None
+        if t < 0:
+            raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
+    except BadParameter:
+        deque(rows, 0)  # read to the end: a non-ASCII byte still wins
+        raise
     edges = g.edges
     n_edges = len(edges)
-    colors = [0] * m  # 0 marks an id no row has given yet
+    colors = [0] * n_edges  # 0 marks a slot no row has filled yet
+    beyond: set[int] = set()  # ids without a slot, kept for the duplicate check
+    # (row, id) for each row whose id is not below the count of rows read so
+    # far and is above every id listed before it; as the count only grows,
+    # the first listed id the final count does not pass is the first row
+    # with an id out of range
+    ahead: list[tuple[int, int]] = []
     odd: list[tuple[int, int, int]] = []  # rows whose endpoints are not edge k's
-    rows = data_rows(path)
-    next(rows, None)  # the header, read above
-    try:
-        for row in rows:
+    fault = None  # the first other fault a row shows, which ends the parse
+    i = -1
+    for i, row in enumerate(rows):
+        try:
             k, u, v, c = row.split()  # a wrong token count fails the unpack
             k, u, v, c = int(k), int(u), int(v), int(c)
-            if not 0 <= k < m:
-                raise BadParameter(f"{path}: edge id {k} outside 0..{m - 1}")
-            if colors[k]:
-                raise BadParameter(f"{path}: duplicate edge id {k}")
-            if c < 1:
-                raise BadParameter(f"{path}: edge {k} has non-positive color {c}")
+        except ValueError:
+            fault = f"{path}: malformed coloring line {row!r}"
+            break
+        if k > i and (not ahead or k > ahead[-1][1]) or k < 0:
+            ahead.append((i, k))
+            if k < 0:  # out of range whatever the count
+                break
+        if colors[k] if k < n_edges else k in beyond:
+            fault = f"{path}: duplicate edge id {k}"
+            break
+        if c < 1:
+            fault = f"{path}: edge {k} has non-positive color {c}"
+            break
+        if k >= n_edges:
+            beyond.add(k)
+        else:
             colors[k] = c
-            if k >= n_edges or ((u, v) != edges[k] and (v, u) != edges[k]):
+            if (u, v) != edges[k] and (v, u) != edges[k]:
                 odd.append((k, u, v))
-    except ValueError:
-        raise BadParameter(f"{path}: malformed coloring line {row!r}") from None
-    # m rows with m distinct in-range ids fill every slot, unless the file
-    # changed between the two passes
-    if not all(colors):
-        raise BadParameter(f"{path}: changed while it was read")
+    m = i + 1 + sum(1 for _ in rows)  # the rows after a faulty one are only counted
+    # every listed row comes no later than the other fault's, and within a
+    # row the id range is checked first
+    for _, k in ahead:
+        if not 0 <= k < m:
+            raise BadParameter(f"{path}: edge id {k} outside 0..{m - 1}")
+    if fault is not None:
+        raise BadParameter(fault)
     if m != n_edges:
         raise BadParameter(f"{path}: {m} colored edges for a graph with {n_edges}")
     if t > n_edges:  # m edges carry at most m colors, and the palette check is O(t)

@@ -344,6 +344,21 @@ MALFORMED = [
      "{path}: edge id 1 is (0,2) but the graph has (1, 2)"),
     ("load", "t=2\n1 2 1 2\n0 1 2 1\n", gf.BadParameter,
      "{path}: edge id 0 is (1,2) but the graph has (0, 1)"),
+    # ids with no slot in the graph, or one the row count does not reach,
+    # recorded before the file was read once: an id in g.m..rows-1 passes
+    # the row checks, a duplicate among them does not, and an id at or above
+    # the row count is out of range before any later row's fault
+    ("load", "t=1\n0 0 1 1\n1 1 2 1\n2 2 3 1\n", gf.BadParameter,
+     "{path}: 3 colored edges for a graph with 2"),
+    ("load", "t=1\n2 0 1 1\n2 1 2 1\n0 0 1 1\n", gf.BadParameter,
+     "{path}: duplicate edge id 2"),
+    ("coloring", "t=1\n5 0 1 1\n0 0 1 x\n", gf.BadParameter, "{path}: edge id 5 outside 0..1"),
+    ("load", "t=1\n1 1 2 1\n", gf.BadParameter, "{path}: edge id 1 outside 0..0"),
+    ("load", "t=1\n1 0 1 1\n2 1 2 0\n", gf.BadParameter, "{path}: edge id 2 outside 0..1"),
+    ("load", "t=1\n3 0 1 1\n-1 0 1 1\n0 0 1 1\n1 1 2 1\n", gf.BadParameter,
+     "{path}: edge id -1 outside 0..3"),
+    ("load", "t=1\n2 0 1 1\n1 1 2 1\n0 0 1 1\n9 1 2 1\n", gf.BadParameter,
+     "{path}: edge id 9 outside 0..3"),
     ("prov", "0 cross 0 0 1\n", gf.BadParameter, "{path}: malformed provenance line '0 cross 0 0 1'"),
     ("prov", "0 cross x 0 1 1\n", gf.BadParameter,
      "{path}: malformed provenance line '0 cross x 0 1 1'"),
@@ -943,6 +958,20 @@ def _transcript_row(root, capsys, monkeypatch, line):
         if before.get(p.name) != p.read_bytes()
     }
     return code, _sha16(out.encode()), _sha16(err.encode()), written
+
+
+def test_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # an input too large for the machine exits 3 with an error line, not 1
+    # (a negative verdict) with a traceback; the reader raises without
+    # allocating
+    import gapfree.cli
+
+    def too_large(path):
+        raise MemoryError
+
+    monkeypatch.setattr(gapfree.cli, "read_edge_list", too_large)
+    assert run(["verify", str(tmp_path / "g.g"), str(tmp_path / "c.col")]) == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_construct_checks_its_operand_before_searching(tmp_path, capsys, monkeypatch):

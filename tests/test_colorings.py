@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,21 +219,63 @@ def test_verify_builds_no_incidence_table():
     assert "incident" not in g.__dict__
 
 
-def test_coloring_file_changed_between_passes(tmp_path, monkeypatch):
-    # load_coloring reads the file twice: rows gone by the second read are an
-    # input error, not a colour slot left unfilled
+def test_load_coloring_reads_its_file_once(tmp_path, monkeypatch):
+    # each colour goes into its edge's slot as its row is read; an id the
+    # rows read so far do not pass is judged once the whole file is counted
     path = tmp_path / "c.col"
-    path.write_text("t=1\n0 0 1 1\n")
+    g = named("P", 4)
+    coloring = gf.EdgeColoring((1, 2, 1))
+    gf.write_coloring(path, g, coloring)
     reads = []
     data_rows = gapfree.colorings.data_rows
 
-    def shrinking(p):
+    def counted(p):
         reads.append(p)
-        if len(reads) == 2:
-            p.write_text("t=1\n")
         return data_rows(p)
 
-    monkeypatch.setattr(gapfree.colorings, "data_rows", shrinking)
-    with pytest.raises(BadParameter, match=r"c\.col: changed while it was read$"):
-        gf.load_coloring(path, gf.build_graph(2, [(0, 1)]))
-    assert len(reads) == 2
+    monkeypatch.setattr(gapfree.colorings, "data_rows", counted)
+    assert gf.load_coloring(path, g) == (2, coloring)
+    assert reads == [path]
+    path.write_text("t=1\n5 0 1 1\n0 0 1 x\n")
+    with pytest.raises(BadParameter, match=r"c\.col: edge id 5 outside 0\.\.1$"):
+        gf.load_coloring(path, g)
+    assert reads == [path, path]
+
+
+def test_verifier_matches_naive_at_large_colors():
+    # the first pass follows colours below _MASK_BITS only; a vertex with a
+    # greater colour takes the exact pass, with the same verdicts
+    rng = random.Random(SEED + 2)
+    bits = gapfree.colorings._MASK_BITS
+    for base in (bits - 4, bits - 1, bits, 10**12):
+        checked = 0
+        while checked < 40:
+            g = _random_graph(rng, rng.randint(2, 8))
+            if g.m == 0:
+                continue
+            coloring = gf.EdgeColoring(tuple(base + rng.randint(0, 5) for _ in range(g.m)))
+            report = gf.verify_interval(g, coloring, 3)
+            valid, proper_bad, gap_bad, usage_bad = _naive_verify(g, coloring, 3)
+            assert report.valid == valid
+            pairs = {(pv.first_edge, pv.second_edge) for pv in report.properness_violations}
+            assert pairs == proper_bad
+            assert {gv.vertex for gv in report.gap_violations} == gap_bad
+            assert set(report.unused_colors) == usage_bad
+            checked += 1
+
+
+def test_verify_first_pass_holds_one_int_per_vertex():
+    # each vertex's colours as one small int, not a list: on a valid
+    # colouring the verifier's peak stays well under a list per vertex
+    prod, coloring = gf.strong_interval(
+        named("P", 20), gf.EdgeColoring(tuple(1 + k % 2 for k in range(19))), named("C", 20)
+    )
+    g = prod.graph
+    tracemalloc.start()
+    try:
+        report = gf.verify_interval(g, coloring, coloring.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 64 * g.n
