@@ -8,12 +8,12 @@ constructors and the exhaustive search must satisfy.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 from .errors import BadParameter
-from .graph import Graph, _Record, data_rows
+from .graph import Graph, _numbers, _Record, block_rows, read_blocks, write_rows
 
 # the width of the verifier's per-vertex colour masks: a vertex with a colour
 # of this or more takes the exact pass
@@ -140,37 +140,31 @@ def verify_interval(g: Graph, coloring: EdgeColoring, t: int) -> IntervalReport:
 def write_coloring(path, g: Graph, coloring: EdgeColoring) -> None:
     """Coloring file: "t=<K>" header, then one "edge_id u v color" line per edge."""
     _check_total(g, coloring)
+    edges = g.edges
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"t={coloring.t}\n")
-        for k, (u, v) in enumerate(g.edges):
-            fh.write(f"{k} {u} {v} {coloring.colors[k]}\n")
+        write_rows(fh, "%s %s %s %s\n", chain.from_iterable(zip(
+            range(len(edges)), map(itemgetter(0), edges), map(itemgetter(1), edges),
+            coloring.colors)))
 
 
 def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
     """Read a coloring file and validate it against a graph's edge ids.
 
-    The file is read once, row by row, and no row is kept: each colour goes
-    into the slot of its edge id. Faults are raised once the whole file is
-    read, in this order: a non-ASCII byte anywhere, the header, the first
-    faulty row in file order, then, against the graph, the row count, the
-    declared t and the endpoints. A row's id must lie in 0..rows-1, so a
-    malformed file gets the same message whatever the graph; an id that the
-    rows read so far do not pass is judged once the count is known.
+    The file is read once, by read_blocks, and no row is kept: each colour
+    goes into the slot of its edge id. A strict block of rows (see
+    graph._numbers) is taken whole when its ids are the next row indices,
+    its ends are the graph's edges of those ids, in order, its colours are
+    positive and its slots are empty: exactly the rows on which the row code
+    below does nothing but fill those slots. Every other block goes through
+    block_rows and the row code, with the same state. Faults are raised once
+    the whole file is read, in this order: a non-ASCII byte anywhere, the
+    header, the first faulty row in file order, then, against the graph, the
+    row count, the declared t and the endpoints. A row's id must lie in
+    0..rows-1, so a malformed file gets the same message whatever the graph;
+    an id that the rows read so far do not pass is judged once the count is
+    known.
     """
-    rows = data_rows(path)
-    header = next(rows, None)
-    try:
-        if header is None or not header.startswith("t="):
-            raise BadParameter(f"{path}: missing t=<K> header")
-        try:
-            t = int(header[2:])
-        except ValueError:
-            raise BadParameter(f"{path}: malformed header {header!r}") from None
-        if t < 0:
-            raise BadParameter(f"{path}: declared color count must be >= 0, got {t}")
-    except BadParameter:
-        deque(rows, 0)  # read to the end: a non-ASCII byte still wins
-        raise
     edges = g.edges
     n_edges = len(edges)
     colors = [0] * n_edges  # 0 marks a slot no row has filled yet
@@ -181,32 +175,60 @@ def load_coloring(path, g: Graph) -> tuple[int, EdgeColoring]:
     # with an id out of range
     ahead: list[tuple[int, int]] = []
     odd: list[tuple[int, int, int]] = []  # rows whose endpoints are not edge k's
-    fault = None  # the first other fault a row shows, which ends the parse
-    i = -1
-    for i, row in enumerate(rows):
-        try:
-            k, u, v, c = row.split()  # a wrong token count fails the unpack
-            k, u, v, c = int(k), int(u), int(v), int(c)
-        except ValueError:
-            fault = f"{path}: malformed coloring line {row!r}"
-            break
-        if k > i and (not ahead or k > ahead[-1][1]) or k < 0:
-            ahead.append((i, k))
-            if k < 0:  # out of range whatever the count
-                break
-        if colors[k] if k < n_edges else k in beyond:
-            fault = f"{path}: duplicate edge id {k}"
-            break
-        if c < 1:
-            fault = f"{path}: edge {k} has non-positive color {c}"
-            break
-        if k >= n_edges:
-            beyond.add(k)
-        else:
-            colors[k] = c
-            if (u, v) != edges[k] and (v, u) != edges[k]:
-                odd.append((k, u, v))
-    m = i + 1 + sum(1 for _ in rows)  # the rows after a faulty one are only counted
+    header = t = None
+    fault = None  # the first other fault, which ends the parse
+    m = 0  # the rows after the header, parsed or only counted
+    for block in read_blocks(path):
+        nums = _numbers(block, b"   \n") if t is not None and fault is None else None
+        if nums is not None:
+            i = m + len(nums) // 4
+            if (nums[::4] == list(range(m, i)) and min(nums[3::4]) > 0
+                    and not any(colors[m:i])
+                    and tuple(zip(nums[1::4], nums[2::4])) == edges[m:i]):
+                colors[m:i] = nums[3::4]
+                m = i
+                continue
+        for row in block_rows(path, block):
+            if header is None:
+                header = row
+                if not row.startswith("t="):
+                    fault = f"{path}: missing t=<K> header"
+                    continue
+                try:
+                    t = int(row[2:])
+                except ValueError:
+                    fault = f"{path}: malformed header {row!r}"
+                    continue
+                if t < 0:
+                    fault = f"{path}: declared color count must be >= 0, got {t}"
+                continue
+            i = m
+            m += 1
+            if fault is not None:
+                continue  # the rows after a faulty one are only counted
+            try:
+                k, u, v, c = row.split()  # a wrong token count fails the unpack
+                k, u, v, c = int(k), int(u), int(v), int(c)
+            except ValueError:
+                fault = f"{path}: malformed coloring line {row!r}"
+                continue
+            if k > i and (not ahead or k > ahead[-1][1]) or k < 0:
+                ahead.append((i, k))
+                if k < 0:  # out of range whatever the count: the check below names it
+                    fault = ""
+                    continue
+            if colors[k] if k < n_edges else k in beyond:
+                fault = f"{path}: duplicate edge id {k}"
+            elif c < 1:
+                fault = f"{path}: edge {k} has non-positive color {c}"
+            elif k >= n_edges:
+                beyond.add(k)
+            else:
+                colors[k] = c
+                if (u, v) != edges[k] and (v, u) != edges[k]:
+                    odd.append((k, u, v))
+    if header is None:
+        raise BadParameter(f"{path}: missing t=<K> header")
     # every listed row comes no later than the other fault's, and within a
     # row the id range is checked first
     for _, k in ahead:

@@ -227,13 +227,13 @@ def test_load_coloring_reads_its_file_once(tmp_path, monkeypatch):
     coloring = gf.EdgeColoring((1, 2, 1))
     gf.write_coloring(path, g, coloring)
     reads = []
-    data_rows = gapfree.colorings.data_rows
+    read_blocks = gapfree.colorings.read_blocks
 
     def counted(p):
         reads.append(p)
-        return data_rows(p)
+        return read_blocks(p)
 
-    monkeypatch.setattr(gapfree.colorings, "data_rows", counted)
+    monkeypatch.setattr(gapfree.colorings, "read_blocks", counted)
     assert gf.load_coloring(path, g) == (2, coloring)
     assert reads == [path]
     path.write_text("t=1\n5 0 1 1\n0 0 1 x\n")

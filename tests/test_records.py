@@ -181,13 +181,18 @@ def test_fields_with_defaults_come_last():
     assert Good(1, c="x") == Good(a=1, b=2, c="x") == Good(1, 2, "x")
 
 
-def test_cli_import_leaves_dataclasses_out():
-    # neither dataclasses, typing nor inspect: the package imports none of them
+def test_cli_import_leaves_dataclasses_out(tmp_path):
+    # neither dataclasses, typing nor inspect: a whole `verify` run, with its
+    # readers, verifier and report, imports none of them
+    g = gf.product(ProductKind.CARTESIAN, gf.generate("P", 2), gf.generate("C", 4)).graph
+    gf.write_edge_list(tmp_path / "p.g", g)
+    gf.write_coloring(tmp_path / "p.col", g, gf.bipartite_regular_coloring(g))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, gapfree.cli; "
-         "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True,
+         "code = gapfree.cli.run(['verify', 'p.g', 'p.col']); "
+         "print(code, sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
