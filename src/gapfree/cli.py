@@ -17,67 +17,31 @@ import os
 import sys
 from importlib import import_module
 
+from . import _SOURCE
 from .errors import BadParameter, BudgetExceeded, GapfreeError
 
-# gapfree module -> the names this module calls from it. run() binds the names
-# its subcommand calls as globals here, each one only if it is not bound yet,
-# so a process imports only the modules its subcommand runs, and a wrapper or
-# a monkeypatch set on this module beforehand is the object called; a first
-# getattr of any of them binds it too
-_SOURCES = {
-    "chromatic": ("bipartite_regular_coloring", "exact_chromatic_index"),
-    "colorings": ("load_coloring", "to_dot", "verify_interval", "write_coloring"),
-    "constructions": (
-        "_require_copies",
-        "_require_regular",
-        "bound_report",
-        "cartesian_interval",
-        "lex_empty_interval",
-        "lex_regular_interval",
-        "strong_interval",
-        "strong_tensor_interval",
-        "tensor_interval",
-        "torus_hamming_membership",
-    ),
-    "families": ("generate",),
-    "graph": ("read_edge_list", "write_edge_list"),
-    "oracle": ("BUDGET_EXCEEDED", "find_interval_coloring", "oracle"),
-    "products": ("ProductKind", "product", "write_provenance"),
-    "search": ("DEFAULT_BUDGET",),
+# Every library name is read at call time as an attribute of this module,
+# _lib.<name>. A name bound here, a wrapper or a monkeypatch set beforehand
+# included, is the object called; a name not bound yet goes to __getattr__,
+# which imports its module and binds it. So a process imports only the
+# modules its subcommand runs.
+_lib = sys.modules[__name__]
+
+# the private names the CLI calls -> their modules; a public name's module is
+# the package's
+_PRIVATE = {
+    "BUDGET_EXCEEDED": "oracle",
+    "_require_copies": "constructions",
+    "_require_regular": "constructions",
 }
-_SOURCE = {name: module for module, names in _SOURCES.items() for name in names}
-
-# subcommand -> the names it calls; construct binds the oracle's only when it
-# searches for a factor coloring (see _get_alpha)
-_NEEDS = {
-    "gen": ("generate", "write_edge_list"),
-    "product": ("read_edge_list", "ProductKind", "product", "write_edge_list",
-                "write_provenance"),
-    "construct": ("DEFAULT_BUDGET", "read_edge_list", "load_coloring", "write_coloring",
-                  "write_edge_list", "write_provenance", *_SOURCES["constructions"]),
-    "verify": ("read_edge_list", "load_coloring", "verify_interval"),
-    "oracle": ("DEFAULT_BUDGET", "read_edge_list", "find_interval_coloring", "oracle",
-               "BUDGET_EXCEEDED", "write_coloring"),
-    "bounds": ("bound_report",),
-    "membership": ("torus_hamming_membership",),
-    "export-dot": ("read_edge_list", "load_coloring", "to_dot"),
-    "chi-prime": ("DEFAULT_BUDGET", "read_edge_list", "exact_chromatic_index", "write_coloring"),
-    "bipartite-color": ("read_edge_list", "bipartite_regular_coloring", "write_coloring"),
-}
-
-
-def _bind(names) -> None:
-    scope = globals()
-    for name in names:
-        if name not in scope:
-            scope[name] = getattr(import_module(f".{_SOURCE[name]}", __package__), name)
 
 
 def __getattr__(name):
-    if name not in _SOURCE:
+    module = _SOURCE.get(name) or _PRIVATE.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind((name,))
-    return globals()[name]
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
 
 
 # --kind -> the ProductKind member's name
@@ -143,7 +107,7 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("INTERVAL_BUDGET")
     try:
-        return _non_negative(env) if env else DEFAULT_BUDGET
+        return _non_negative(env) if env else _lib.DEFAULT_BUDGET
     except argparse.ArgumentTypeError as exc:
         raise BadParameter(f"INTERVAL_BUDGET: {exc}") from None
 
@@ -151,13 +115,12 @@ def _budget(args) -> int:
 def _get_alpha(g, path, budget):
     """Load a factor coloring, or find a least-count witness with the oracle."""
     if path is not None:
-        _, coloring = load_coloring(path, g)
+        _, coloring = _lib.load_coloring(path, g)
         return coloring
-    _bind(("oracle", "BUDGET_EXCEEDED"))
-    result = oracle(g, budget)
+    result = _lib.oracle(g, budget)
     if result.w is not None:
         return result.witnesses[result.w]
-    if result.status == BUDGET_EXCEEDED:
+    if result.status == _lib.BUDGET_EXCEEDED:
         raise BudgetExceeded(
             "oracle budget exhausted before a factor coloring was found",
             result.nodes_explored,
@@ -184,19 +147,19 @@ def _cmd_gen(args) -> int:
     if args.m is not None and args.n is None:
         raise BadParameter("--m is not read without --n")
     params = _parse_dims(args.dims) if args.dims is not None else given
-    g = generate(args.family, *params)
-    write_edge_list(args.out, g)
+    g = _lib.generate(args.family, *params)
+    _lib.write_edge_list(args.out, g)
     print(f"vertices={g.n} edges={g.m}")
     return 0
 
 
 def _cmd_product(args) -> int:
-    g = read_edge_list(args.left)
-    h = read_edge_list(args.right)
-    prod = product(ProductKind[_KINDS[args.kind]], g, h)
-    write_edge_list(args.out, prod.graph)
+    g = _lib.read_edge_list(args.left)
+    h = _lib.read_edge_list(args.right)
+    prod = _lib.product(_lib.ProductKind[_KINDS[args.kind]], g, h)
+    _lib.write_edge_list(args.out, prod.graph)
     sidecar = args.provenance or args.out + ".prov"
-    write_provenance(sidecar, prod)
+    _lib.write_provenance(sidecar, prod)
     print(f"vertices={prod.graph.n} edges={prod.graph.m}")
     return 0
 
@@ -204,23 +167,21 @@ def _cmd_product(args) -> int:
 # theorem -> (option naming the second operand, its check, composer(g, alpha,
 # operand, args, budget)); a right factor arrives read. The check runs before
 # any search for a factor coloring (for t14 and t17, the overfull count too).
-# Checks and composers name their functions at call time, so a replaced
-# module attribute is the one called.
 _THEOREMS = {
-    "t2": ("right", None, lambda g, alpha, h, args, budget: cartesian_interval(
+    "t2": ("right", None, lambda g, alpha, h, args, budget: _lib.cartesian_interval(
         g, alpha, h, _get_alpha(h, args.right_coloring, budget))),
-    "t12": ("right", lambda h: _require_regular(h),
-            lambda g, alpha, h, args, budget: tensor_interval(g, alpha, h)),
-    "t13": ("right", lambda h: _require_regular(h),
-            lambda g, alpha, h, args, budget: strong_tensor_interval(g, alpha, h)),
-    "t14": ("right", lambda h: _require_regular(h, class1=True),
-            lambda g, alpha, h, args, budget: strong_interval(g, alpha, h, budget)),
-    "t16w": ("n", lambda n: _require_copies(n),
-             lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "w")),
-    "t16W": ("n", lambda n: _require_copies(n),
-             lambda g, alpha, n, args, budget: lex_empty_interval(g, alpha, n, "W")),
-    "t17": ("right", lambda h: _require_regular(h, class1=True),
-            lambda g, alpha, h, args, budget: lex_regular_interval(g, alpha, h, budget)),
+    "t12": ("right", lambda h: _lib._require_regular(h),
+            lambda g, alpha, h, args, budget: _lib.tensor_interval(g, alpha, h)),
+    "t13": ("right", lambda h: _lib._require_regular(h),
+            lambda g, alpha, h, args, budget: _lib.strong_tensor_interval(g, alpha, h)),
+    "t14": ("right", lambda h: _lib._require_regular(h, class1=True),
+            lambda g, alpha, h, args, budget: _lib.strong_interval(g, alpha, h, budget)),
+    "t16w": ("n", lambda n: _lib._require_copies(n),
+             lambda g, alpha, n, args, budget: _lib.lex_empty_interval(g, alpha, n, "w")),
+    "t16W": ("n", lambda n: _lib._require_copies(n),
+             lambda g, alpha, n, args, budget: _lib.lex_empty_interval(g, alpha, n, "W")),
+    "t17": ("right", lambda h: _lib._require_regular(h, class1=True),
+            lambda g, alpha, h, args, budget: _lib.lex_regular_interval(g, alpha, h, budget)),
 }
 
 
@@ -237,25 +198,25 @@ def _cmd_construct(args) -> int:
     value = getattr(args, operand)
     if value is None:
         raise BadParameter(f"--{operand} is required for {args.theorem}")
-    g = read_edge_list(args.left)
+    g = _lib.read_edge_list(args.left)
     if operand == "right":
-        value = read_edge_list(value)
+        value = _lib.read_edge_list(value)
     if check is not None:
         check(value)
     alpha = _get_alpha(g, args.left_coloring, budget)
     prod, coloring = compose(g, alpha, value, args, budget)
-    write_coloring(args.out, prod.graph, coloring)
+    _lib.write_coloring(args.out, prod.graph, coloring)
     if args.product_out:
-        write_edge_list(args.product_out, prod.graph)
-        write_provenance(args.product_out + ".prov", prod)
+        _lib.write_edge_list(args.product_out, prod.graph)
+        _lib.write_provenance(args.product_out + ".prov", prod)
     print(f"t={coloring.t} vertices={prod.graph.n} edges={prod.graph.m}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    g = read_edge_list(args.graph)
-    t, coloring = load_coloring(args.coloring, g)
-    report = verify_interval(g, coloring, t)
+    g = _lib.read_edge_list(args.graph)
+    t, coloring = _lib.load_coloring(args.coloring, g)
+    report = _lib.verify_interval(g, coloring, t)
     violation = "gapfree.violation/1"
     # each row is printed as it is made: a report of every violation is not
     # held a second time as rows
@@ -274,20 +235,20 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.out is not None and args.t is None:
         raise BadParameter("--out needs --t: only a single-t probe writes a witness")
-    g = read_edge_list(args.graph)
+    g = _lib.read_edge_list(args.graph)
     budget = _budget(args)
     if args.t is not None:
-        found = find_interval_coloring(g, args.t, budget)
+        found = _lib.find_interval_coloring(g, args.t, budget)
         if found is not None and args.out:
-            write_coloring(args.out, g, found)
+            _lib.write_coloring(args.out, g, found)
         text = (f"found an interval {args.t}-coloring" if found is not None
                 else f"no interval {args.t}-coloring exists")
         _emit(args, "gapfree.oracle/1", {"t": args.t, "found": found is not None}, text)
         return 1 if found is None else 0
-    result = oracle(g, budget)
+    result = _lib.oracle(g, budget)
     _emit(args, "gapfree.oracle/1", {"member": result.member, "w": result.w, "W": result.W,
                                      "nodes": result.nodes_explored, "status": result.status})
-    if result.status == BUDGET_EXCEEDED:
+    if result.status == _lib.BUDGET_EXCEEDED:
         return 2
     return 0 if result.member else 1
 
@@ -301,7 +262,7 @@ def _cmd_bounds(args) -> int:
         params["family"] = args.family
     if args.dims:
         params["dims"] = _parse_dims(args.dims)
-    report = bound_report(args.theorem, **params)
+    report = _lib.bound_report(args.theorem, **params)
     kind = report.kind.value if report.kind else None
     _emit(args, "gapfree.bounds/1",
           {"source": report.source, "kind": kind, "w_upper": report.w_upper,
@@ -312,7 +273,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_membership(args) -> int:
     dims = _parse_dims(args.dims)
-    member = torus_hamming_membership(dims, args.family)
+    member = _lib.torus_hamming_membership(dims, args.family)
     _emit(args, "gapfree.membership/1",
           {"family": args.family, "dims": list(dims), "member": member},
           "interval colorable" if member else "not interval colorable")
@@ -320,11 +281,11 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    g = read_edge_list(args.graph)
+    g = _lib.read_edge_list(args.graph)
     coloring = None
     if args.coloring:
-        _, coloring = load_coloring(args.coloring, g)
-    text = to_dot(g, coloring)
+        _, coloring = _lib.load_coloring(args.coloring, g)
+    text = _lib.to_dot(g, coloring)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -334,20 +295,20 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_chi_prime(args) -> int:
-    g = read_edge_list(args.graph)
-    result = exact_chromatic_index(g, _budget(args))
+    g = _lib.read_edge_list(args.graph)
+    result = _lib.exact_chromatic_index(g, _budget(args))
     if args.out:
-        write_coloring(args.out, g, result.witness)
+        _lib.write_coloring(args.out, g, result.witness)
     _emit(args, "gapfree.chi-prime/1", {"chi_prime": result.chi_prime, "class1": result.class1,
                                         "max_degree": g.max_degree})
     return 0 if result.class1 else 1
 
 
 def _cmd_bipartite_color(args) -> int:
-    g = read_edge_list(args.graph)
-    coloring = bipartite_regular_coloring(g)
+    g = _lib.read_edge_list(args.graph)
+    coloring = _lib.bipartite_regular_coloring(g)
     if args.out:
-        write_coloring(args.out, g, coloring)
+        _lib.write_coloring(args.out, g, coloring)
     print(f"t={coloring.t}")
     return 0
 
@@ -473,7 +434,6 @@ def run(argv: list[str]) -> int:
         if getattr(args, "out", None) == "":
             # before any file is read; the commands test args.out for truth
             raise BadParameter("--out needs a non-empty path")
-        _bind(_NEEDS[args.command])
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)

@@ -183,10 +183,13 @@ class Graph(_Record):
 
 
 def _require_canonical(n: int, edges: Sequence[tuple[int, int]]) -> None:
-    """Raise ValueError, naming the first edge out of place, unless the edges
-    are strictly increasing (u, v) pairs with 0 <= u < v < n, the order in
-    which each vertex's edge ids, taken in id order, come in neighbour order.
+    """Raise ValueError if n < 0, or, naming the first edge out of place,
+    unless the edges are strictly increasing (u, v) pairs with 0 <= u < v < n,
+    the order in which each vertex's edge ids, taken in id order, come in
+    neighbour order.
     The check runs at C speed; only a fault is looked for edge by edge."""
+    if n < 0:
+        raise ValueError(f"Graph needs a vertex count >= 0, got {n}")
     if (all(starmap(lt, edges)) and all(map(lt, chain(((0, 0),), edges), edges))
             and max(map(itemgetter(1), edges), default=-1) < n):
         return
@@ -550,9 +553,7 @@ def read_edge_list(path) -> Graph:
     # Graph's 3.8 ms check on a 39,700-edge product (read_edge_list 18 against
     # 21 ms). A file that fails the check pays its scan for the first pair out
     # of place too: 5 ms more when that pair is the last.
-    if n >= 0:
-        try:
-            return Graph(n, tuple(edges))
-        except ValueError:
-            pass
-    return build_graph(n, edges)
+    try:
+        return Graph(n, tuple(edges))
+    except ValueError:
+        return build_graph(n, edges)

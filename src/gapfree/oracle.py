@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import combinations, islice
 from math import comb
 from operator import xor
@@ -90,9 +91,6 @@ def _path_weights(g: Graph, weight: list[int], source: int) -> list[int]:
     vertices of a source-y path, both ends included; -1 off source's
     component. Dijkstra where entering y costs weight[y] from any neighbour,
     so y's first distance is final and each vertex is pushed once."""
-    # imported here: every gapfree process imports this module at start-up
-    from heapq import heappop, heappush
-
     dist = [-1] * g.n
     dist[source] = weight[source]
     heap = [(weight[source], source)]

@@ -83,6 +83,13 @@ def test_graph_refuses_a_non_canonical_edge_list():
             gf.Graph(n, edges)
 
 
+def test_graph_refuses_a_negative_vertex_count():
+    # with no edges, no edge is out of place: the count is checked on its own
+    for edges in ((), ((0, 1),)):
+        with pytest.raises(ValueError, match=r"^Graph needs a vertex count >= 0, got -1$"):
+            gf.Graph(-1, edges)
+
+
 def test_adjacency_is_ascending_without_a_sort():
     # edges sorted as canonical pairs list each vertex's lesser neighbours,
     # ascending, before its greater ones, so adjacency needs no sort

@@ -1,7 +1,9 @@
 """What a gapfree process loads: the package imports a submodule when one of
-its names is first used, and the CLI binds the names its subcommand calls
-when it runs, so a process imports only the modules that subcommand needs."""
+its names is first used, and the CLI reads each library name it calls as an
+attribute of its own module when the call is made, so a process imports
+only the modules that subcommand runs."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -32,31 +34,54 @@ code = run(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules if m.startswith("gapfree")))
 """
 
-BASE = {"gapfree", "gapfree.cli", "gapfree.errors", "gapfree.graph", "gapfree.colorings"}
-FOOTPRINT = {
-    "verify": BASE,
-    "oracle": BASE | {"gapfree.search", "gapfree.chromatic", "gapfree.oracle"},
+BASE = {"gapfree", "gapfree.cli", "gapfree.errors"}
+READ = BASE | {"gapfree.graph", "gapfree.colorings"}
+SEARCH = READ | {"gapfree.search", "gapfree.chromatic"}
+BOUNDS = SEARCH | {"gapfree.products", "gapfree.constructions"}
+# each subcommand's argv -> the gapfree modules its process loads
+FOOTPRINT = [
+    (("gen", "--family", "P", "--n", "3", "--out", "p3.g"),
+     BASE | {"gapfree.graph", "gapfree.families", "gapfree.products"}),
+    (("product", "--kind", "strong", "--left", "p4.g", "--right", "c4.g", "--out", "s.g"),
+     BASE | {"gapfree.graph", "gapfree.products"}),
     # a factor coloring read from a file: no oracle, and no families
-    "construct": BASE | {"gapfree.search", "gapfree.chromatic", "gapfree.products",
-                         "gapfree.constructions"},
-}
+    (("construct", "--theorem", "t12", "--left", "p4.g", "--left-coloring", "p4.col",
+      "--right", "c4.g", "--out", "t12.col", "--product-out", "t12.g"), BOUNDS),
+    # a factor coloring found by the oracle
+    (("construct", "--theorem", "t12", "--left", "p4.g", "--right", "c4.g",
+      "--out", "o12.col"), BOUNDS | {"gapfree.oracle"}),
+    (("verify", "t12.g", "t12.col"), READ),
+    (("oracle", "p4.g", "--t", "2"), SEARCH | {"gapfree.oracle"}),
+    (("oracle", "p4.g"), SEARCH | {"gapfree.oracle"}),
+    (("bounds", "--theorem", "t12", "--params", "w_g=2,W_g=3,r=2"), BOUNDS),
+    (("membership", "--family", "torus", "--dims", "4,4"), BOUNDS),
+    (("export-dot", "p4.g", "p4.col", "--out", "p4.dot"), READ),
+    (("chi-prime", "c4.g"), SEARCH),
+    (("bipartite-color", "c4.g"), SEARCH),
+]
 
 
 def test_subcommands_import_only_what_they_run(tmp_path):
     gf.write_edge_list(tmp_path / "p4.g", gf.generate("P", 4))
     gf.write_edge_list(tmp_path / "c4.g", gf.generate("C", 4))
     gf.write_coloring(tmp_path / "p4.col", gf.generate("P", 4), gf.EdgeColoring((1, 2, 1)))
-    runs = [
-        ("construct", "--theorem", "t12", "--left", "p4.g", "--left-coloring", "p4.col",
-         "--right", "c4.g", "--out", "t12.col", "--product-out", "t12.g"),
-        ("verify", "t12.g", "t12.col"),
-        ("oracle", "p4.g", "--t", "2"),
-    ]
-    for argv in runs:
+    assert {argv[0] for argv, _ in FOOTPRINT} == set(cli._COMMANDS)
+    for argv, expected in FOOTPRINT:
         *_, last = _python(_RUN, *argv, cwd=tmp_path).splitlines()
         code, *loaded = last.split()
         assert code == "0", argv
-        assert set(loaded) == FOOTPRINT[argv[0]], argv
+        assert set(loaded) == expected, argv
+
+
+def test_every_library_name_the_cli_reads_resolves():
+    # cli.py lists no names it calls: a misspelt _lib.<name> would fail only
+    # when its subcommand runs
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "_lib"}
+    assert names
+    for name in sorted(names):
+        getattr(cli, name)
 
 
 def test_package_import_loads_no_submodule():
